@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cloud import frozen_array
 from .errors import DomainError, TransitionError, TrajectoryError
 from .footprint import FootPose
 from .pid import PIDGains, PIDState, pid_step
@@ -177,6 +178,8 @@ def simulate_magnet(
     tolerance: float = SETTLE_TOLERANCE_MM,
 ) -> MagnetTrace:
     """Run the gap loop from given initial gaps for ``duration`` seconds."""
+    if dt <= 0:
+        raise DomainError("dt must be positive")
     if duration <= 0:
         raise DomainError("duration must be positive")
     mode = MagnetMode.TOUCHED if setpoint == TOUCHED_GAP_MM else MagnetMode.UNTOUCHED
@@ -362,15 +365,10 @@ class JumpPlanConfig:
     joint_limits: np.ndarray
 
     def __post_init__(self):
-        conv = np.asarray(self.convenient_joints, dtype=np.float64).reshape(6)
-        targ = np.asarray(self.target_joints, dtype=np.float64).reshape(6)
-        lim = np.asarray(self.joint_limits, dtype=np.float64).reshape(6, 2)
-        if not (lim[:, 0] < lim[:, 1]).all():
+        for name, shape in (("convenient_joints", 6), ("target_joints", 6), ("joint_limits", (6, 2))):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), shape))
+        if not (self.joint_limits[:, 0] < self.joint_limits[:, 1]).all():
             raise DomainError("joint limits must satisfy low < high per joint")
-        for name, arr in (("convenient_joints", conv), ("target_joints", targ), ("joint_limits", lim)):
-            a = np.array(arr, copy=True)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
 
 
 DEFAULT_JOINT_LIMITS = np.array([[-np.pi, np.pi]] * 6)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PlanarPatch, PointCloud
+from .cloud import PlanarPatch, PointCloud, frozen_array
 from .errors import DomainError
 
 
@@ -30,9 +30,7 @@ class BoundaryEstimate:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise DomainError("boundary points must form an (M, 3) array")
-        arr = np.array(pts, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "points", arr)
+        object.__setattr__(self, "points", frozen_array(pts))
         if self.slice_width <= 0:
             raise DomainError("slice_width must be positive")
 
@@ -108,21 +106,6 @@ def _farthest_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 best = (dist, (i, j))
     i, j = best[1]
     return points[i], points[j]
-
-
-def boundary_recall(estimate: BoundaryEstimate, reference: np.ndarray, radius: float) -> float:
-    """Fraction of reference rim points that have an estimated boundary point
-    within ``radius``."""
-    ref = np.asarray(reference, dtype=np.float64)
-    if ref.ndim != 2 or ref.shape[1] != 3:
-        raise DomainError("reference rim must be an (M, 3) array")
-    if len(ref) == 0:
-        raise DomainError("reference rim is empty")
-    est = estimate.points
-    if len(est) == 0:
-        return 0.0
-    d = np.linalg.norm(ref[:, None, :] - est[None, :, :], axis=2)
-    return float((d.min(axis=1) <= radius).mean())
 
 
 def directed_hausdorff(from_points: np.ndarray, to_points: np.ndarray) -> float:

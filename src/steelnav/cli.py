@@ -10,7 +10,6 @@ without parsing JSON; all commands exit 2 on any error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional
@@ -30,13 +29,28 @@ from .cloud import RigidTransform, load_cloud, save_cloud
 from .config import RunConfig, load_config
 from .drive import simulate_track, trace_to_csv
 from .errors import NavError
-from .switching import Transformation, decide, decision_to_json
+from .switching import SwitchDecision, Transformation, decide, decision_to_json
 from .synth import CloudShape, SyntheticCloudSpec, generate_cloud
 
 EXIT_MOBILE = 0
 EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_INCH_WORM = 10
+
+# Flags that override one config-table value each: (flag, (section, key), help).
+SEED_FLAG = ("--seed", ("run", "seed"), "seed of RANSAC sampling and drive measurement noise")
+DECIDE_FLAGS = (
+    ("--alpha-s", ("boundary", "slice_width"), "boundary slice width, meters"),
+    ("--foot-w", ("foot", "width"), "foot width, meters"),
+    ("--foot-l", ("foot", "length"), "foot length, meters"),
+    ("--tol-t", ("foot", "tolerance"), "interior-test relative tolerance"),
+    ("--n", ("foot", "candidates"), "candidate anchors to try"),
+    ("--m", ("foot", "neighbors"), "boundary neighbors per probe"),
+    ("--min-inliers", ("filter", "min_inliers"), "minimum plane inlier count"),
+    ("--voxel-leaf", ("filter", "voxel_leaf"), "voxel edge, meters"),
+    ("--base-height", ("height", "base_height"), "robot base height, meters"),
+    ("--height-tol", ("height", "tolerance"), "height equality tolerance, meters"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,14 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = SyntheticCloudSpec()
     gen = sub.add_parser("gen", help="generate a synthetic cloud file")
-    gen.add_argument("--shape", choices=[s.value for s in CloudShape], default="rectangle")
-    gen.add_argument("--size-x", type=float, default=0.30, help="extent along x, meters (circle diameter)")
-    gen.add_argument("--size-y", type=float, default=0.30, help="extent along y, meters")
-    gen.add_argument("--pitch", type=float, default=0.01, help="grid spacing, meters")
-    gen.add_argument("--noise", type=float, default=0.0, help="Gaussian noise sigma, meters")
-    gen.add_argument("--outlier-frac", type=float, default=0.0, help="outlier fraction of total points")
-    gen.add_argument("--hole-size", type=float, default=0.10, help="hole edge for rectangle_with_hole, meters")
+    gen.add_argument("--shape", choices=[s.value for s in CloudShape], default=spec.shape.value)
+    gen.add_argument("--size-x", type=float, default=spec.size_x, help="extent along x, meters (circle diameter)")
+    gen.add_argument("--size-y", type=float, default=spec.size_y, help="extent along y, meters")
+    gen.add_argument("--pitch", type=float, default=spec.pitch, help="grid spacing, meters")
+    gen.add_argument("--noise", type=float, default=spec.noise_sigma, help="Gaussian noise sigma, meters")
+    gen.add_argument(
+        "--outlier-frac", type=float, default=spec.outlier_fraction, help="outlier fraction of total points",
+    )
+    gen.add_argument(
+        "--hole-size", type=float, default=spec.hole_size, help="hole edge for rectangle_with_hole, meters",
+    )
     gen.add_argument("--tx", type=float, default=0.0, help="pose translation x, meters")
     gen.add_argument("--ty", type=float, default=0.0, help="pose translation y, meters")
     gen.add_argument("--tz", type=float, default=0.0, help="pose translation z, meters")
@@ -65,18 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decide", help="run the cloud-to-transformation decision")
     dec.add_argument("cloud", help="input cloud file (ascii PCD subset)")
-    dec.add_argument("--config", default=None, help="INI config file")
-    dec.add_argument("--alpha-s", type=float, default=None, help="boundary slice width, meters")
-    dec.add_argument("--foot-w", type=float, default=None, help="foot width, meters")
-    dec.add_argument("--foot-l", type=float, default=None, help="foot length, meters")
-    dec.add_argument("--tol-t", type=float, default=None, help="interior-test relative tolerance")
-    dec.add_argument("--n", type=int, default=None, help="candidate anchors to try")
-    dec.add_argument("--m", type=int, default=None, help="boundary neighbors per probe")
-    dec.add_argument("--min-inliers", type=int, default=None, help="minimum plane inlier count")
-    dec.add_argument("--voxel-leaf", type=float, default=None, help="voxel edge, meters")
-    dec.add_argument("--base-height", type=float, default=None, help="robot base height, meters")
-    dec.add_argument("--height-tol", type=float, default=None, help="height equality tolerance, meters")
-    dec.add_argument("--seed", type=int, default=None)
+    _add_config_flags(dec, DECIDE_FLAGS + (SEED_FLAG,))
     dec.add_argument("--out", default=None, help="also write the decision JSON here")
 
     sim = sub.add_parser("simulate", help="run a closed-loop simulator")
@@ -87,46 +95,41 @@ def build_parser() -> argparse.ArgumentParser:
         ("jump", "inch-worm jump state machine and trajectory"),
     ):
         s = sim_sub.add_parser(name, help=help_text)
-        s.add_argument("--config", default=None, help="INI config file")
-        s.add_argument("--seed", type=int, default=None)
+        _add_config_flags(s, (SEED_FLAG,))
         s.add_argument("--out", default=None, help="output directory for trace files")
 
     bat = sub.add_parser("batch", help="decide over every cloud file in a directory")
     bat.add_argument("indir", help="directory of .pcd cloud files")
-    bat.add_argument("--config", default=None, help="INI config file")
-    bat.add_argument("--seed", type=int, default=None)
+    _add_config_flags(bat, (SEED_FLAG,))
     bat.add_argument("--out", required=True, help="output directory for per-file decision JSON")
     return parser
 
 
-def _apply_decide_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    filter_cfg = cfg.filter
-    if args.min_inliers is not None:
-        filter_cfg = dataclasses.replace(filter_cfg, min_inlier_count=args.min_inliers)
-    if args.voxel_leaf is not None:
-        filter_cfg = dataclasses.replace(filter_cfg, voxel_leaf=args.voxel_leaf)
+def _add_config_flags(parser: argparse.ArgumentParser, rows) -> None:
+    parser.add_argument("--config", help="INI config file")
+    for flag, (section, key), help_text in rows:
+        # the dest names the table key; argparse also shows it as the metavar
+        parser.add_argument(flag, dest=f"{section}.{key}", help=help_text)
 
-    foot = cfg.foot
-    for attr, value in (
-        ("width", args.foot_w), ("length", args.foot_l), ("tolerance", args.tol_t),
-        ("candidate_count", args.n), ("neighbor_count", args.m),
-    ):
+
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then ``--config``, then the command's override flags."""
+    overrides = {}
+    for _, (section, key), _ in DECIDE_FLAGS + (SEED_FLAG,):
+        value = getattr(args, f"{section}.{key}", None)
         if value is not None:
-            foot = dataclasses.replace(foot, **{attr: value})
+            overrides[(section, key)] = value
+    return load_config(args.config, overrides)
 
-    height = cfg.height
-    if args.base_height is not None:
-        height = dataclasses.replace(height, base_height=args.base_height)
-    if args.height_tol is not None:
-        height = dataclasses.replace(height, tolerance=args.height_tol)
 
-    return dataclasses.replace(
-        cfg,
-        filter=filter_cfg,
-        foot=foot,
-        height=height,
-        slice_width=args.alpha_s if args.alpha_s is not None else cfg.slice_width,
-        seed=args.seed if args.seed is not None else cfg.seed,
+def _decide(cfg: RunConfig, cloud_path) -> SwitchDecision:
+    return decide(
+        load_cloud(cloud_path),
+        filter_cfg=cfg.filter,
+        slice_width=cfg.slice_width,
+        foot=cfg.foot,
+        height_cfg=cfg.height,
+        seed=cfg.seed,
     )
 
 
@@ -154,16 +157,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    cfg = _apply_decide_overrides(load_config(args.config), args)
-    cloud = load_cloud(args.cloud)
-    decision = decide(
-        cloud,
-        filter_cfg=cfg.filter,
-        slice_width=cfg.slice_width,
-        foot=cfg.foot,
-        height_cfg=cfg.height,
-        seed=cfg.seed,
-    )
+    decision = _decide(_load_config(args), args.cloud)
     text = decision_to_json(decision)
     print(text)
     if args.out is not None:
@@ -178,9 +172,7 @@ def _out_dir(arg: Optional[str]) -> Path:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _load_config(args)
     out = _out_dir(args.out)
 
     if args.simulator == "track":
@@ -237,9 +229,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _load_config(args)
     indir = Path(args.indir)
     if not indir.is_dir():
         raise NavError(f"not a directory: {indir}")
@@ -248,11 +238,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not cloud_paths:
         raise NavError(f"no .pcd files in {indir}")
     for path in cloud_paths:
-        decision = decide(
-            load_cloud(path),
-            filter_cfg=cfg.filter, slice_width=cfg.slice_width,
-            foot=cfg.foot, height_cfg=cfg.height, seed=cfg.seed,
-        )
+        decision = _decide(cfg, path)
         (out / f"{path.stem}.json").write_text(decision_to_json(decision) + "\n", encoding="utf-8")
         print(f"{path.name} {decision.transformation.value}")
     return EXIT_OK
@@ -275,11 +261,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "batch":
             return _cmd_batch(args)
         raise NavError(f"unknown command {args.command!r}")
-    except NavError as exc:
+    except (NavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

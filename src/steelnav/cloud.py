@@ -28,10 +28,21 @@ class Frame(str, Enum):
     ROBOT_BASE = "robot_base"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
+def frozen_array(values, shape=None) -> np.ndarray:
+    """A read-only float64 copy of ``values``, reshaped to ``shape`` if given."""
+    out = np.asarray(values, dtype=np.float64)
+    out = np.array(out if shape is None else out.reshape(shape))
     out.flags.writeable = False
     return out
+
+
+def check_rotation(rot: np.ndarray, subject: str) -> None:
+    """Raise DomainError unless the 3x3 ``rot`` is orthonormal with
+    determinant +1; ``subject`` names it in the message."""
+    if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
+        raise DomainError(f"{subject} must be orthonormal")
+    if abs(np.linalg.det(rot) - 1.0) > 1e-9:
+        raise DomainError(f"{subject} must be right-handed (determinant +1)")
 
 
 def _vec3(v, what: str = "vector") -> np.ndarray:
@@ -64,7 +75,7 @@ class PointCloud:
     frame_id: Frame = Frame.CAMERA
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _freeze(_point_rows(self.points)))
+        object.__setattr__(self, "points", frozen_array(_point_rows(self.points)))
         object.__setattr__(self, "frame_id", Frame(self.frame_id))
 
     def __len__(self) -> int:
@@ -106,9 +117,9 @@ class PlanarPatch:
             mean = self.inliers.points.mean(axis=0)
             if np.abs(mean - centroid).max() > 1e-9:
                 raise DomainError("centroid must equal the mean of the inliers")
-        object.__setattr__(self, "normal", _freeze(normal))
-        object.__setattr__(self, "centroid", _freeze(centroid))
-        object.__setattr__(self, "plane_coeffs", _freeze(coeffs))
+        object.__setattr__(self, "normal", frozen_array(normal))
+        object.__setattr__(self, "centroid", frozen_array(centroid))
+        object.__setattr__(self, "plane_coeffs", frozen_array(coeffs))
 
     def point_plane_distances(self) -> np.ndarray:
         """Absolute point-to-plane distance of every inlier."""
@@ -127,12 +138,9 @@ class RigidTransform:
         rot = np.asarray(self.rotation, dtype=np.float64)
         if rot.shape != (3, 3):
             raise DomainError("rotation must be a 3x3 matrix")
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
-            raise DomainError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise DomainError("rotation matrix must have determinant +1")
-        object.__setattr__(self, "rotation", _freeze(rot))
-        object.__setattr__(self, "translation", _freeze(_vec3(self.translation, "translation")))
+        check_rotation(rot, "rotation matrix")
+        object.__setattr__(self, "rotation", frozen_array(rot))
+        object.__setattr__(self, "translation", frozen_array(_vec3(self.translation, "translation")))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -207,8 +215,9 @@ def load_cloud(path: PathLike) -> PointCloud:
     """Read an ASCII PCD file restricted to plain x y z float fields.
 
     The cloud is tagged with the camera frame.  Raises :class:`ParseError`
-    naming the offending line for malformed headers, non-numeric rows, and
-    row counts that disagree with the POINTS field.  Binary DATA is rejected.
+    naming the offending line for malformed headers, non-numeric rows,
+    non-ASCII bytes, and row counts that disagree with the POINTS field.
+    Binary DATA is rejected.
     """
     path = Path(path)
     header: dict[str, list[str]] = {}
@@ -216,9 +225,14 @@ def load_cloud(path: PathLike) -> PointCloud:
     expected: Optional[int] = None
     in_data = False
 
-    with path.open("r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    with path.open("rb") as fh:
+        # splitlines breaks at \n, \r\n and \r, the line ends text mode reads
+        lines = (raw for chunk in fh for raw in chunk.splitlines())
+        for line_no, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("ascii").strip()
+            except UnicodeDecodeError:
+                raise ParseError(path, line_no, "non-ASCII byte in line") from None
             if not line or line.startswith("#"):
                 continue
             if not in_data:
@@ -332,23 +346,6 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
 # ---------------------------------------------------------------------------
 # Plane detection
 # ---------------------------------------------------------------------------
-
-
-def centroid(cloud: PointCloud) -> np.ndarray:
-    """Arithmetic mean of the cloud's points."""
-    if cloud.is_empty:
-        raise DomainError("centroid of an empty cloud is undefined")
-    return cloud.points.mean(axis=0)
-
-
-def plane_normal(patch: PlanarPatch) -> np.ndarray:
-    """Unit normal of a detected plane, oriented toward the sensor origin."""
-    return patch.normal
-
-
-def transform_point(point, transform: RigidTransform) -> np.ndarray:
-    """Apply a rigid transform to one point: R @ p + t."""
-    return transform.apply(_vec3(point, "point"))
 
 
 def ransac_plane(cloud: PointCloud, cfg: FilterConfig, seed: int) -> Optional[PlanarPatch]:

@@ -3,19 +3,24 @@
 One flat, human-editable file in configparser syntax; every key optional
 with the package defaults filled in, unknown sections or keys rejected so
 typos fail loudly.  Command-line flags override file values.
+
+``TABLE`` is the one list of settable values: it maps each (section, key)
+to the field it sets in :class:`RunConfig` and the parser of its text.  The
+defaults live only in the dataclasses below and in the types they nest.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .actuate import DEFAULT_MAGNET_GAINS, JumpPlanConfig, MagnetPlant
+from .actuate import DEFAULT_JOINT_LIMITS, DEFAULT_MAGNET_GAINS, JumpPlanConfig, MagnetPlant
 from .cloud import FilterConfig, RigidTransform
 from .drive import DriveGains, Pose2D
 from .errors import ConfigError
@@ -56,7 +61,7 @@ def _default_jump_plan() -> JumpPlanConfig:
     return JumpPlanConfig(
         convenient_joints=np.array([0.0, -0.6, 1.0, 0.0, 0.5, 0.0]),
         target_joints=np.array([0.3, -0.4, 0.8, 0.0, 0.7, 0.3]),
-        joint_limits=np.array([[-math.pi, math.pi]] * 6),
+        joint_limits=DEFAULT_JOINT_LIMITS,
     )
 
 
@@ -84,219 +89,203 @@ class RunConfig:
     seed: int = 0
 
 
-_KNOWN_KEYS = {
-    "filter": {
-        "x_min", "x_max", "y_min", "y_max", "z_min", "z_max",
-        "voxel_leaf", "ransac_threshold", "ransac_iterations", "min_inliers",
-    },
-    "boundary": {"slice_width"},
-    "foot": {"width", "length", "tolerance", "candidates", "neighbors"},
-    "height": {
-        "base_height", "tolerance",
-        "camera_x", "camera_y", "camera_z", "camera_yaw", "camera_pitch", "camera_roll",
-    },
-    "drive": {
-        "kp_pos", "ki_pos", "kd_pos", "v_max", "int_pos",
-        "kp_head", "ki_head", "kd_head", "omega_max", "int_head",
-        "dt", "v_ref", "horizon", "accept_radius", "noise_sigma",
-        "start", "waypoints",
-    },
-    "magnet": {
-        "kp", "ki", "kd", "out_limit", "int_limit",
-        "time_constant", "speed_gain", "disturbance", "trim_gain",
-        "dt", "duration", "setpoint", "initial_left", "initial_right",
-    },
-    "jump": {"convenient", "target", "limits_low", "limits_high", "start", "steps", "events"},
-    "run": {"seed"},
+# Value parsers: each takes "[section] key", for its messages, and the raw text.
+
+
+def _number(where: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{where}: not a number: {text!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: not a finite number: {text!r}")
+    return value
+
+
+def _integer(where: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{where}: not an integer: {text!r}")
+
+
+def _vector(length: int) -> Callable[[str, str], tuple[float, ...]]:
+    def parse(where: str, text: str) -> tuple[float, ...]:
+        parts = text.replace(",", " ").split()
+        if len(parts) != length:
+            raise ConfigError(f"{where}: expected {length} numbers, got {len(parts)}")
+        return tuple(_number(where, p) for p in parts)
+    return parse
+
+
+def _pose(where: str, text: str) -> Pose2D:
+    return Pose2D(*_vector(3)(where, text))
+
+
+def _poses(where: str, text: str) -> tuple[Pose2D, ...]:
+    """Semicolon-separated planar poses, each `x y [phi]`."""
+    out = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = chunk.replace(",", " ").split()
+        if len(parts) not in (2, 3):
+            raise ConfigError(f"{where}: pose needs `x y [phi]`, got {chunk!r}")
+        values = [_number(where, p) for p in parts]
+        out.append(Pose2D(values[0], values[1], values[2] if len(values) == 3 else 0.0))
+    if not out:
+        raise ConfigError(f"{where}: no poses given")
+    return tuple(out)
+
+
+def _words(where: str, text: str) -> tuple[str, ...]:
+    return tuple(text.replace(",", " ").split())
+
+
+# (section, key) -> (field path in RunConfig, parser).  A path step is a
+# dataclass field name, or an index into a tuple or array.  The camera pose
+# is rebuilt whole from its translation and z-y-x Euler angles, so its steps
+# name those six parts.
+TABLE: dict[tuple[str, str], tuple[tuple, Callable]] = {
+    ("filter", "x_min"): (("filter", "x_range", 0), _number),
+    ("filter", "x_max"): (("filter", "x_range", 1), _number),
+    ("filter", "y_min"): (("filter", "y_range", 0), _number),
+    ("filter", "y_max"): (("filter", "y_range", 1), _number),
+    ("filter", "z_min"): (("filter", "z_range", 0), _number),
+    ("filter", "z_max"): (("filter", "z_range", 1), _number),
+    ("filter", "voxel_leaf"): (("filter", "voxel_leaf"), _number),
+    ("filter", "ransac_threshold"): (("filter", "ransac_threshold"), _number),
+    ("filter", "ransac_iterations"): (("filter", "ransac_iterations"), _integer),
+    ("filter", "min_inliers"): (("filter", "min_inlier_count"), _integer),
+    ("boundary", "slice_width"): (("slice_width",), _number),
+    ("foot", "width"): (("foot", "width"), _number),
+    ("foot", "length"): (("foot", "length"), _number),
+    ("foot", "tolerance"): (("foot", "tolerance"), _number),
+    ("foot", "candidates"): (("foot", "candidate_count"), _integer),
+    ("foot", "neighbors"): (("foot", "neighbor_count"), _integer),
+    ("height", "base_height"): (("height", "base_height"), _number),
+    ("height", "tolerance"): (("height", "tolerance"), _number),
+    ("height", "camera_x"): (("height", "camera_to_base", "x"), _number),
+    ("height", "camera_y"): (("height", "camera_to_base", "y"), _number),
+    ("height", "camera_z"): (("height", "camera_to_base", "z"), _number),
+    ("height", "camera_yaw"): (("height", "camera_to_base", "yaw"), _number),
+    ("height", "camera_pitch"): (("height", "camera_to_base", "pitch"), _number),
+    ("height", "camera_roll"): (("height", "camera_to_base", "roll"), _number),
+    ("drive", "kp_pos"): (("drive", "gains", "position", "kp"), _number),
+    ("drive", "ki_pos"): (("drive", "gains", "position", "ki"), _number),
+    ("drive", "kd_pos"): (("drive", "gains", "position", "kd"), _number),
+    ("drive", "v_max"): (("drive", "gains", "position", "out_limit"), _number),
+    ("drive", "int_pos"): (("drive", "gains", "position", "int_limit"), _number),
+    ("drive", "kp_head"): (("drive", "gains", "heading", "kp"), _number),
+    ("drive", "ki_head"): (("drive", "gains", "heading", "ki"), _number),
+    ("drive", "kd_head"): (("drive", "gains", "heading", "kd"), _number),
+    ("drive", "omega_max"): (("drive", "gains", "heading", "out_limit"), _number),
+    ("drive", "int_head"): (("drive", "gains", "heading", "int_limit"), _number),
+    ("drive", "dt"): (("drive", "dt"), _number),
+    ("drive", "v_ref"): (("drive", "v_ref"), _number),
+    ("drive", "horizon"): (("drive", "horizon"), _number),
+    ("drive", "accept_radius"): (("drive", "accept_radius"), _number),
+    ("drive", "noise_sigma"): (("drive", "noise_sigma"), _number),
+    ("drive", "start"): (("drive", "start"), _pose),
+    ("drive", "waypoints"): (("drive", "waypoints"), _poses),
+    ("magnet", "kp"): (("magnet", "gains", "kp"), _number),
+    ("magnet", "ki"): (("magnet", "gains", "ki"), _number),
+    ("magnet", "kd"): (("magnet", "gains", "kd"), _number),
+    ("magnet", "out_limit"): (("magnet", "gains", "out_limit"), _number),
+    ("magnet", "int_limit"): (("magnet", "gains", "int_limit"), _number),
+    ("magnet", "time_constant"): (("magnet", "plant", "time_constant"), _number),
+    ("magnet", "speed_gain"): (("magnet", "plant", "speed_gain"), _number),
+    ("magnet", "disturbance"): (("magnet", "plant", "disturbance"), _number),
+    ("magnet", "trim_gain"): (("magnet", "trim_gain"), _number),
+    ("magnet", "dt"): (("magnet", "dt"), _number),
+    ("magnet", "duration"): (("magnet", "duration"), _number),
+    ("magnet", "setpoint"): (("magnet", "setpoint"), _number),
+    ("magnet", "initial_left"): (("magnet", "initial_left"), _number),
+    ("magnet", "initial_right"): (("magnet", "initial_right"), _number),
+    ("jump", "convenient"): (("jump", "plan", "convenient_joints"), _vector(6)),
+    ("jump", "target"): (("jump", "plan", "target_joints"), _vector(6)),
+    ("jump", "limits_low"): (("jump", "plan", "joint_limits", np.s_[..., 0]), _vector(6)),
+    ("jump", "limits_high"): (("jump", "plan", "joint_limits", np.s_[..., 1]), _vector(6)),
+    ("jump", "start"): (("jump", "start_joints"), _vector(6)),
+    ("jump", "steps"): (("jump", "steps"), _integer),
+    ("jump", "events"): (("jump", "events"), _words),
+    ("run", "seed"): (("seed",), _integer),
 }
 
+def load_config(
+    path: Optional[Union[str, Path]], overrides: Optional[Mapping[tuple[str, str], str]] = None,
+) -> RunConfig:
+    """Load a RunConfig: the defaults, then the INI file at ``path`` (None
+    reads no file), then ``overrides``.
 
-class _Section:
-    """One config section with typed, error-reporting accessors."""
-
-    def __init__(self, name: str, raw: dict[str, str]):
-        self.name = name
-        self.raw = raw
-
-    def number(self, key: str, default: float) -> float:
-        if key not in self.raw:
-            return default
-        try:
-            return float(self.raw[key])
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: not a number: {self.raw[key]!r}")
-
-    def integer(self, key: str, default: int) -> int:
-        if key not in self.raw:
-            return default
-        try:
-            return int(self.raw[key])
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: not an integer: {self.raw[key]!r}")
-
-    def vector(self, key: str, default: Sequence[float], length: int) -> tuple[float, ...]:
-        if key not in self.raw:
-            return tuple(default)
-        parts = [p for p in self.raw[key].replace(",", " ").split() if p]
-        if len(parts) != length:
-            raise ConfigError(f"[{self.name}] {key}: expected {length} numbers, got {len(parts)}")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: not numbers: {self.raw[key]!r}")
-
-    def poses(self, key: str, default: Sequence[Pose2D]) -> tuple[Pose2D, ...]:
-        """Semicolon-separated planar poses, each `x y [phi]`."""
-        if key not in self.raw:
-            return tuple(default)
-        out = []
-        for chunk in self.raw[key].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = [p for p in chunk.replace(",", " ").split() if p]
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"[{self.name}] {key}: pose needs `x y [phi]`, got {chunk!r}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise ConfigError(f"[{self.name}] {key}: not numbers: {chunk!r}")
-            out.append(Pose2D(values[0], values[1], values[2] if len(values) == 3 else 0.0))
-        if not out:
-            raise ConfigError(f"[{self.name}] {key}: no poses given")
-        return tuple(out)
-
-    def words(self, key: str) -> Optional[tuple[str, ...]]:
-        if key not in self.raw:
-            return None
-        parts = [p for p in self.raw[key].replace(",", " ").split() if p]
-        return tuple(parts)
+    ``overrides`` maps table keys to raw text, parsed exactly like a file
+    value; the command-line flags arrive this way.
+    """
+    raw = _read_ini(path) if path is not None else {}
+    raw.update(overrides or {})
+    changes: dict = {}
+    for (section, key), text in raw.items():
+        steps, parse = TABLE[(section, key)]
+        node = changes
+        for step in steps[:-1]:
+            node = node.setdefault(step, {})
+        node[steps[-1]] = parse(f"[{section}] {key}", text)
+    return _apply(RunConfig(), changes)
 
 
-def load_config(path: Optional[Union[str, Path]]) -> RunConfig:
-    """Load a RunConfig from an INI file; None gives all defaults."""
-    if path is None:
-        return RunConfig()
+def _read_ini(path: Union[str, Path]) -> dict[tuple[str, str], str]:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 text: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}")
 
+    sections = {section for section, _ in TABLE}
+    raw = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+        for key, text in parser[section].items():
+            if (section, key) not in TABLE:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            raw[(section, key)] = text
+    return raw
 
-    def sect(name: str) -> _Section:
-        return _Section(name, dict(parser[name]) if parser.has_section(name) else {})
 
-    f = sect("filter")
-    dflt = FilterConfig()
-    filter_cfg = FilterConfig(
-        x_range=(f.number("x_min", dflt.x_range[0]), f.number("x_max", dflt.x_range[1])),
-        y_range=(f.number("y_min", dflt.y_range[0]), f.number("y_max", dflt.y_range[1])),
-        z_range=(f.number("z_min", dflt.z_range[0]), f.number("z_max", dflt.z_range[1])),
-        voxel_leaf=f.number("voxel_leaf", dflt.voxel_leaf),
-        ransac_threshold=f.number("ransac_threshold", dflt.ransac_threshold),
-        ransac_iterations=f.integer("ransac_iterations", dflt.ransac_iterations),
-        min_inlier_count=f.integer("min_inliers", dflt.min_inlier_count),
+def _apply(value, changes: dict):
+    """``value`` with ``changes`` ({path step: new value or nested changes})
+    applied; every dataclass is rebuilt once, from all its changed fields, so
+    its own checks see the final values."""
+    def child(old, change):
+        return _apply(old, change) if isinstance(change, dict) else change
+
+    if isinstance(value, RigidTransform):
+        return _camera_pose(value, changes)
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{name: child(getattr(value, name), c) for name, c in changes.items()})
+    out = np.array(value) if isinstance(value, np.ndarray) else list(value)
+    for index, change in changes.items():
+        out[index] = child(value[index], change)
+    return out if isinstance(value, np.ndarray) else tuple(out)
+
+
+def _camera_pose(old: RigidTransform, changes: dict) -> RigidTransform:
+    """``old`` rebuilt by :meth:`RigidTransform.from_euler_zyx` with some of
+    its translation components and z-y-x Euler angles replaced."""
+    rot = old.rotation
+    parts = dict(
+        zip("xyz", old.translation),
+        yaw=math.atan2(rot[1, 0], rot[0, 0]),
+        pitch=math.atan2(-rot[2, 0], math.hypot(rot[2, 1], rot[2, 2])),
+        roll=math.atan2(rot[2, 1], rot[2, 2]),
     )
-
-    b = sect("boundary")
-    slice_width = b.number("slice_width", 0.02)
-
-    ft = sect("foot")
-    foot_dflt = FootGeometry()
-    foot = FootGeometry(
-        width=ft.number("width", foot_dflt.width),
-        length=ft.number("length", foot_dflt.length),
-        tolerance=ft.number("tolerance", foot_dflt.tolerance),
-        candidate_count=ft.integer("candidates", foot_dflt.candidate_count),
-        neighbor_count=ft.integer("neighbors", foot_dflt.neighbor_count),
-    )
-
-    h = sect("height")
-    height = HeightConfig(
-        base_height=h.number("base_height", 0.0),
-        tolerance=h.number("tolerance", 0.01),
-        camera_to_base=RigidTransform.from_euler_zyx(
-            yaw=h.number("camera_yaw", 0.0),
-            pitch=h.number("camera_pitch", 0.0),
-            roll=h.number("camera_roll", 0.0),
-            translation=(h.number("camera_x", 0.0), h.number("camera_y", 0.0), h.number("camera_z", 0.0)),
-        ),
-    )
-
-    d = sect("drive")
-    drive_dflt = DriveSimConfig()
-    start_vec = d.vector("start", (drive_dflt.start.x, drive_dflt.start.y, drive_dflt.start.phi), 3)
-    drive = DriveSimConfig(
-        gains=DriveGains(
-            position=PIDGains(
-                kp=d.number("kp_pos", 0.8), ki=d.number("ki_pos", 0.05), kd=d.number("kd_pos", 0.1),
-                out_limit=d.number("v_max", 0.2), int_limit=d.number("int_pos", 0.5),
-            ),
-            heading=PIDGains(
-                kp=d.number("kp_head", 2.0), ki=d.number("ki_head", 0.0), kd=d.number("kd_head", 0.2),
-                out_limit=d.number("omega_max", 1.0), int_limit=d.number("int_head", 0.5),
-            ),
-        ),
-        dt=d.number("dt", drive_dflt.dt),
-        v_ref=d.number("v_ref", drive_dflt.v_ref),
-        horizon=d.number("horizon", drive_dflt.horizon),
-        accept_radius=d.number("accept_radius", drive_dflt.accept_radius),
-        noise_sigma=d.number("noise_sigma", drive_dflt.noise_sigma),
-        start=Pose2D(*start_vec),
-        waypoints=d.poses("waypoints", drive_dflt.waypoints),
-    )
-
-    m = sect("magnet")
-    mag_dflt = MagnetSimConfig()
-    magnet = MagnetSimConfig(
-        gains=PIDGains(
-            kp=m.number("kp", DEFAULT_MAGNET_GAINS.kp),
-            ki=m.number("ki", DEFAULT_MAGNET_GAINS.ki),
-            kd=m.number("kd", DEFAULT_MAGNET_GAINS.kd),
-            out_limit=m.number("out_limit", DEFAULT_MAGNET_GAINS.out_limit),
-            int_limit=m.number("int_limit", DEFAULT_MAGNET_GAINS.int_limit),
-        ),
-        plant=MagnetPlant(
-            time_constant=m.number("time_constant", 0.1),
-            speed_gain=m.number("speed_gain", 5.0),
-            disturbance=m.number("disturbance", 0.0),
-        ),
-        trim_gain=m.number("trim_gain", mag_dflt.trim_gain),
-        dt=m.number("dt", mag_dflt.dt),
-        duration=m.number("duration", mag_dflt.duration),
-        setpoint=m.number("setpoint", mag_dflt.setpoint),
-        initial_left=m.number("initial_left", mag_dflt.initial_left),
-        initial_right=m.number("initial_right", mag_dflt.initial_right),
-    )
-
-    j = sect("jump")
-    jump_dflt = JumpSimConfig()
-    plan_dflt = _default_jump_plan()
-    limits_low = j.vector("limits_low", plan_dflt.joint_limits[:, 0], 6)
-    limits_high = j.vector("limits_high", plan_dflt.joint_limits[:, 1], 6)
-    jump = JumpSimConfig(
-        plan=JumpPlanConfig(
-            convenient_joints=np.array(j.vector("convenient", plan_dflt.convenient_joints, 6)),
-            target_joints=np.array(j.vector("target", plan_dflt.target_joints, 6)),
-            joint_limits=np.column_stack([limits_low, limits_high]),
-        ),
-        start_joints=j.vector("start", jump_dflt.start_joints, 6),
-        steps=j.integer("steps", jump_dflt.steps),
-        events=j.words("events"),
-    )
-
-    r = sect("run")
-    return RunConfig(
-        filter=filter_cfg, slice_width=slice_width, foot=foot, height=height,
-        drive=drive, magnet=magnet, jump=jump, seed=r.integer("seed", 0),
+    parts.update(changes)
+    return RigidTransform.from_euler_zyx(
+        parts["yaw"], parts["pitch"], parts["roll"], translation=(parts["x"], parts["y"], parts["z"]),
     )

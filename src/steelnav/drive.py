@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -190,7 +189,6 @@ def simulate_track(
     accept_radius: float = 0.03,
     noise_sigma: float = 0.0,
     noise_seed: int = 0,
-    inspector: Optional[Callable[[str], None]] = None,
 ) -> TrackResult:
     """Drive the simulated robot through the waypoints.
 
@@ -199,10 +197,8 @@ def simulate_track(
     it.  The reference heading of each waypoint is the bearing of its
     approach segment.  ``v_ref`` caps the commanded speed.  ``noise_sigma``
     adds Gaussian position/heading measurement noise (off by default, which
-    keeps traces reproducible).  ``inspector`` is invoked once per step with
-    a frame tag; the hook exists for piggybacking surface inspection onto
-    the drive loop and defaults to doing nothing.  Running out of horizon
-    is reported through ``converged``, not an exception.
+    keeps traces reproducible).  Running out of horizon is reported through
+    ``converged``, not an exception.
     """
     if len(waypoints) < 1:
         raise DomainError("at least one waypoint is required")
@@ -225,7 +221,7 @@ def simulate_track(
     t = 0.0
     max_steps = int(round(horizon / dt))
 
-    for step in range(max_steps):
+    for _ in range(max_steps):
         while wp_index < len(references) and _distance(pose, references[wp_index]) <= accept_radius:
             wp_index += 1
         if wp_index == len(references):
@@ -247,8 +243,6 @@ def simulate_track(
             position_integral=state.position.integral,
             heading_integral=state.heading.integral,
         ))
-        if inspector is not None:
-            inspector(f"frame_{step:06d}")
 
         pose = Pose2D(
             x=pose.x + command.v * math.cos(pose.phi) * dt,
@@ -300,8 +294,3 @@ def trace_to_csv(result: TrackResult) -> str:
         )
         lines.append(",".join(f"{v:.9g}" for v in values) + f",{row.waypoint_index}")
     return "\n".join(lines) + "\n"
-
-
-def write_trace_csv(path: Union[str, Path], result: TrackResult) -> None:
-    """Write a simulation trace to a CSV file."""
-    Path(path).write_text(trace_to_csv(result), encoding="ascii")

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import BoundaryEstimate
+from .cloud import check_rotation, frozen_array
 from .errors import DegenerateAnchorError, DomainError
 
 
@@ -64,20 +65,9 @@ class CandidateRectangle:
     midpoints: np.ndarray
 
     def __post_init__(self):
-        for name, arr, shape in (
-            ("anchor", self.anchor, (3,)),
-            ("frame", self.frame, (3, 3)),
-            ("corners", self.corners, (4, 3)),
-            ("midpoints", self.midpoints, (4, 3)),
-        ):
-            a = np.array(np.asarray(arr, dtype=np.float64).reshape(shape), copy=True)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        rot = self.frame
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
-            raise DomainError("candidate frame must be orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise DomainError("candidate frame must be right-handed")
+        for name, shape in (("anchor", 3), ("frame", (3, 3)), ("corners", (4, 3)), ("midpoints", (4, 3))):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), shape))
+        check_rotation(self.frame, "candidate frame")
 
     @property
     def probes(self) -> np.ndarray:
@@ -96,16 +86,9 @@ class FootPose:
     orientation: np.ndarray
 
     def __post_init__(self):
-        pos = np.array(np.asarray(self.position, dtype=np.float64).reshape(3), copy=True)
-        rot = np.array(np.asarray(self.orientation, dtype=np.float64).reshape(3, 3), copy=True)
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
-            raise DomainError("orientation must be orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise DomainError("orientation must be right-handed")
-        pos.flags.writeable = False
-        rot.flags.writeable = False
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", rot)
+        object.__setattr__(self, "position", frozen_array(self.position, 3))
+        object.__setattr__(self, "orientation", frozen_array(self.orientation, (3, 3)))
+        check_rotation(self.orientation, "orientation")
 
 
 @dataclass(frozen=True, eq=False)

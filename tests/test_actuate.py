@@ -132,6 +132,12 @@ def test_magnet_contact_clamp_sticks_at_zero():
     assert trace.final_state.gap_left == 0.0
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+def test_magnet_simulation_rejects_non_positive_dt(dt):
+    with pytest.raises(DomainError, match="dt must be positive"):
+        simulate_magnet(1.0, 1.0, TOUCHED_GAP_MM, dt=dt)
+
+
 def test_magnet_settle_time_is_a_suffix_property():
     trace = simulate_magnet(1.0, 1.0, TOUCHED_GAP_MM)
     assert trace.settle_time is not None

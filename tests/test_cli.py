@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from steelnav.cli import EXIT_ERROR, EXIT_INCH_WORM, EXIT_MOBILE, main
+from steelnav.cli import DECIDE_FLAGS, EXIT_ERROR, EXIT_INCH_WORM, EXIT_MOBILE, SEED_FLAG, main
+from steelnav.config import TABLE
 
 
 def gen_square(tmp_path, name="square.pcd", extra=()):
@@ -215,3 +216,73 @@ def test_gen_cloud_round_trips_through_decide(tmp_path, capsys):
     wire = json.loads(capsys.readouterr().out)
     assert code in (EXIT_MOBILE, EXIT_INCH_WORM)
     assert wire["s_pa"] is True
+
+
+@pytest.mark.parametrize("simulator, ini", [
+    ("track", "[drive]\nhorizon = inf\n"),
+    ("magnet", "[magnet]\nduration = nan\n"),
+    ("magnet", "[magnet]\ndt = 0\n"),
+    ("magnet", "[magnet]\ndt = -0.01\n"),
+], ids=["horizon-inf", "duration-nan", "magnet-dt-zero", "magnet-dt-negative"])
+def test_simulate_bad_config_value_exits_2(tmp_path, capsys, simulator, ini):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    code = main(["simulate", simulator, "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_decide_non_finite_flag_exits_2(tmp_path, capsys):
+    path = gen_square(tmp_path)
+    capsys.readouterr()
+    assert main(["decide", str(path), "--voxel-leaf", "nan"]) == EXIT_ERROR
+    assert "[filter] voxel_leaf: not a finite number" in capsys.readouterr().err
+
+
+def test_decide_non_ascii_cloud_names_the_line(tmp_path, capsys):
+    path = gen_square(tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    lines[14] = lines[14] + b" \xc2\xb5"
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["decide", str(path)]) == EXIT_ERROR
+    assert f"{path}:15: non-ASCII byte" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = gen_square(tmp_path)
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(b"[foot]\nwidth = 0.1 # \xff\n")
+    capsys.readouterr()
+    assert main(["decide", str(path), "--config", str(cfg)]) == EXIT_ERROR
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    path = gen_square(tmp_path)
+    capsys.readouterr()
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 121. GiB")
+
+    monkeypatch.setattr("steelnav.cli.decide", exhausted)
+    assert main(["decide", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 121. GiB\n"
+
+
+def test_override_flags_name_table_keys():
+    assert len(DECIDE_FLAGS) == 10
+    for _, key, _ in DECIDE_FLAGS + (SEED_FLAG,):
+        assert key in TABLE
+
+
+def test_seed_flag_overrides_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nseed = 1\n[drive]\nnoise_sigma = 0.01\n", encoding="utf-8")
+    traces = []
+    for extra in ([], ["--seed", "1"], ["--seed", "2"]):
+        out = tmp_path / f"run{len(traces)}"
+        assert main(["simulate", "track", "--config", str(cfg), "--out", str(out), *extra]) == 0
+        traces.append((out / "track_trace.csv").read_text(encoding="ascii"))
+    capsys.readouterr()
+    assert traces[0] == traces[1] != traces[2]

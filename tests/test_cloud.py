@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,13 +7,10 @@ from steelnav.cloud import (
     PlanarPatch,
     PointCloud,
     RigidTransform,
-    centroid,
     load_cloud,
     passthrough,
-    plane_normal,
     ransac_plane,
     save_cloud,
-    transform_point,
     voxel_downsample,
 )
 from steelnav.errors import DomainError, ParseError
@@ -46,8 +41,6 @@ def test_empty_cloud():
     cloud = make_cloud(np.zeros((0, 3)))
     assert len(cloud) == 0
     assert cloud.is_empty
-    with pytest.raises(DomainError):
-        centroid(cloud)
 
 
 def test_patch_centroid_must_match_inlier_mean():
@@ -97,8 +90,6 @@ def test_rigid_transform_apply_and_compose():
     pts = rng.normal(size=(50, 3))
     composed = a.compose(b)
     np.testing.assert_allclose(composed.apply(pts), a.apply(b.apply(pts)), atol=1e-12)
-    p = rng.normal(size=3)
-    np.testing.assert_allclose(transform_point(p, a), a.rotation @ p + a.translation, atol=1e-15)
 
 
 def test_identity_transform_is_noop():
@@ -354,17 +345,3 @@ def test_ransac_refit_is_least_squares_fixpoint():
     _, _, vt = np.linalg.svd(inl - mean, full_matrices=False)
     best = vt[2] / np.linalg.norm(vt[2])
     assert min(np.linalg.norm(patch.normal - best), np.linalg.norm(patch.normal + best)) < 1e-9
-
-
-def test_centroid_matches_fsum_oracle():
-    rng = np.random.default_rng(67)
-    pts = rng.normal(size=(400, 3))
-    c = centroid(make_cloud(pts))
-    expected = [math.fsum(pts[:, k]) / len(pts) for k in range(3)]
-    np.testing.assert_allclose(c, expected, atol=1e-12)
-
-
-def test_plane_normal_returns_patch_normal():
-    pts = grid_plane(n=20, z=0.2)
-    patch = ransac_plane(make_cloud(pts), FilterConfig(min_inlier_count=100), seed=0)
-    np.testing.assert_array_equal(plane_normal(patch), patch.normal)

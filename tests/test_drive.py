@@ -18,7 +18,6 @@ from steelnav.drive import (
     trace_to_csv,
     tracking_error,
     wrap_angle,
-    write_trace_csv,
 )
 from steelnav.errors import DomainError
 from steelnav.pid import PIDGains
@@ -270,14 +269,6 @@ def test_simulate_noise_reproducible_by_seed():
     assert trace_to_csv(a) != trace_to_csv(c)
 
 
-def test_simulate_inspector_sees_every_step():
-    tags = []
-    result = simulate_track([Pose2D(0.5, 0.0, 0.0)], inspector=tags.append)
-    assert len(tags) == len(result.rows)
-    assert tags[0] == "frame_000000"
-    assert tags == sorted(tags)
-
-
 # -- trace CSV ---------------------------------------------------------------
 
 
@@ -301,13 +292,6 @@ def test_trace_values_round_trip_at_nine_digits():
     for text, value in zip(fields[:9], expected):
         assert float(text) == pytest.approx(value, rel=1e-8, abs=1e-12)
     assert fields[9] == str(row.waypoint_index)
-
-
-def test_write_trace_csv(tmp_path):
-    result = simulate_track([Pose2D(0.5, 0.0, 0.0)])
-    out = tmp_path / "trace.csv"
-    write_trace_csv(out, result)
-    assert out.read_text(encoding="ascii") == trace_to_csv(result)
 
 
 def test_drive_gains_defaults():
