@@ -21,7 +21,7 @@ import numpy as np
 from .cloud import frozen_array
 from .errors import DomainError, TransitionError, TrajectoryError
 from .footprint import FootPose
-from .pid import PIDGains, PIDState, pid_step
+from .pid import PIDGains, PIDState, pid_step, step_count
 
 TOUCHED_GAP_MM = 0.0
 UNTOUCHED_GAP_MM = 1.0
@@ -42,7 +42,7 @@ def mode_setpoint(mode: MagnetMode) -> float:
     return TOUCHED_GAP_MM if mode is MagnetMode.TOUCHED else UNTOUCHED_GAP_MM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MagnetArrayState:
     """One foot's magnet array: commanded mode, sensed gaps, drive state.
 
@@ -123,16 +123,12 @@ def magnet_pid_step(
     gap_l, rate_l = _plant_side(state.gap_left, state.rate_left, _clamp_unit(command - trim), plant, dt)
     gap_r, rate_r = _plant_side(state.gap_right, state.rate_right, _clamp_unit(command + trim), plant, dt)
 
-    return replace(
-        state,
-        gap_left=gap_l, gap_right=gap_r,
-        rate_left=rate_l, rate_right=rate_r,
-        command=command, controller=controller,
-    )
+    return MagnetArrayState(state.mode, gap_l, gap_r, command, rate_l, rate_r, controller)
 
 
 def _clamp_unit(value: float) -> float:
-    return max(-1.0, min(1.0, value))
+    value = value if value < 1.0 else 1.0
+    return value if value > -1.0 else -1.0
 
 
 def _plant_side(gap: float, rate: float, command: float, plant: MagnetPlant, dt: float) -> tuple[float, float]:
@@ -184,7 +180,7 @@ def simulate_magnet(
         raise DomainError("duration must be positive")
     mode = MagnetMode.TOUCHED if setpoint == TOUCHED_GAP_MM else MagnetMode.UNTOUCHED
     state = MagnetArrayState(mode=mode, gap_left=initial_left, gap_right=initial_right)
-    steps = int(round(duration / dt))
+    steps = step_count(duration, dt, "duration")
     rows = []
     t = 0.0
     for _ in range(steps):
@@ -207,8 +203,7 @@ MAGNET_TRACE_HEADER = "t,gap_left_mm,gap_right_mm,command"
 def magnet_trace_to_csv(trace: MagnetTrace) -> str:
     """Render a gap simulation as CSV text, 9 significant digits."""
     lines = [MAGNET_TRACE_HEADER]
-    for t, gl, gr, u in trace.rows:
-        lines.append(",".join(f"{v:.9g}" for v in (t, gl, gr, u)))
+    lines.extend("%.9g,%.9g,%.9g,%.9g" % row for row in trace.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -411,9 +406,12 @@ def plan_jump_trajectory(
     return path
 
 
+_JOINTS_ROW = ",".join(["%.9g"] * 6)
+
+
 def trajectory_to_csv(path: np.ndarray) -> str:
     """Render a joint trajectory as bare CSV rows of 6 angles."""
     arr = np.asarray(path, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 6:
         raise DomainError("trajectory must be an (N, 6) array")
-    return "\n".join(",".join(f"{v:.9g}" for v in row) for row in arr) + "\n"
+    return "\n".join(_JOINTS_ROW % tuple(row) for row in arr.tolist()) + "\n"

@@ -121,11 +121,6 @@ class PlanarPatch:
         object.__setattr__(self, "centroid", frozen_array(centroid))
         object.__setattr__(self, "plane_coeffs", frozen_array(coeffs))
 
-    def point_plane_distances(self) -> np.ndarray:
-        """Absolute point-to-plane distance of every inlier."""
-        a, b, c, d = self.plane_coeffs
-        return np.abs(self.inliers.points @ np.array([a, b, c]) + d)
-
 
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
@@ -163,13 +158,6 @@ class RigidTransform:
         if arr.ndim == 1:
             return self.rotation @ arr + self.translation
         return arr @ self.rotation.T + self.translation
-
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """Transform equivalent to applying ``inner`` first, then ``self``."""
-        return RigidTransform(
-            rotation=self.rotation @ inner.rotation,
-            translation=self.rotation @ inner.translation + self.translation,
-        )
 
 
 @dataclass(frozen=True)

@@ -246,6 +246,10 @@ def _read_ini(path: Union[str, Path]) -> dict[tuple[str, str], str]:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}")
 
+    if parser.defaults():
+        # configparser would copy these keys into every section.
+        raise ConfigError(f"[{parser.default_section}] section is not supported in {path}: "
+                          "put each key in its own section")
     sections = {section for section, _ in TABLE}
     raw = {}
     for section in parser.sections():

@@ -17,9 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .pid import PIDGains, PIDState, pid_step
+from .pid import PIDGains, PIDState, pid_step, step_count
 
 TAU = 2.0 * math.pi
+# Measurement noise is drawn this many steps at a time; the stream is the same
+# as one draw of three values per step.
+_NOISE_BLOCK = 256
 
 
 def wrap_angle(angle: float) -> float:
@@ -30,7 +33,7 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose2D:
     """Planar pose: position in meters, heading in radians.
 
@@ -42,13 +45,12 @@ class Pose2D:
     phi: float
 
     def __post_init__(self):
-        for v in (self.x, self.y, self.phi):
-            if not math.isfinite(v):
-                raise DomainError("pose components must be finite")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.phi)):
+            raise DomainError("pose components must be finite")
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackingError:
     """Body-frame tracking error: forward, lateral, heading."""
 
@@ -57,9 +59,8 @@ class TrackingError:
     e3: float
 
     def __post_init__(self):
-        for v in (self.e1, self.e2, self.e3):
-            if not math.isfinite(v):
-                raise DomainError("tracking error components must be finite")
+        if not (math.isfinite(self.e1) and math.isfinite(self.e2) and math.isfinite(self.e3)):
+            raise DomainError("tracking error components must be finite")
 
     @property
     def distance(self) -> float:
@@ -79,7 +80,7 @@ class DriveGains:
     heading: PIDGains = PIDGains(kp=2.0, ki=0.0, kd=0.2, out_limit=1.0, int_limit=0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DriveState:
     """Controller memory for both loops."""
 
@@ -87,7 +88,7 @@ class DriveState:
     heading: PIDState = field(default_factory=PIDState)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DriveCommand:
     """Saturated drive command: linear speed and turn rate."""
 
@@ -146,7 +147,7 @@ def mixed_pid_step(
     return DriveCommand(v=v, omega=omega), DriveState(position=pos_state, heading=head_state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     """One simulator step: state, error, and command before integration.
 
@@ -212,14 +213,15 @@ def simulate_track(
         raise DomainError("v_ref must be positive")
 
     references = _reference_poses(start, waypoints)
+    max_steps = step_count(horizon, dt, "horizon")
     rng = np.random.default_rng(noise_seed)
+    noise = _noise_stream(rng, noise_sigma) if noise_sigma > 0 else None
 
     pose = start
     state = DriveState()
     rows: list[TraceRow] = []
     wp_index = 0
     t = 0.0
-    max_steps = int(round(horizon / dt))
 
     for _ in range(max_steps):
         while wp_index < len(references) and _distance(pose, references[wp_index]) <= accept_radius:
@@ -229,9 +231,9 @@ def simulate_track(
 
         target = references[wp_index]
         measured = pose
-        if noise_sigma > 0:
-            jitter = rng.normal(0.0, noise_sigma, size=3)
-            measured = Pose2D(pose.x + jitter[0], pose.y + jitter[1], pose.phi + jitter[2])
+        if noise is not None:
+            jx, jy, jphi = next(noise)
+            measured = Pose2D(pose.x + jx, pose.y + jy, pose.phi + jphi)
         e = tracking_error(measured, target)
         bearing = math.atan2(target.y - measured.y, target.x - measured.x)
         heading_error = wrap_angle(bearing - measured.phi)
@@ -245,9 +247,9 @@ def simulate_track(
         ))
 
         pose = Pose2D(
-            x=pose.x + command.v * math.cos(pose.phi) * dt,
-            y=pose.y + command.v * math.sin(pose.phi) * dt,
-            phi=pose.phi + command.omega * dt,
+            pose.x + command.v * math.cos(pose.phi) * dt,
+            pose.y + command.v * math.sin(pose.phi) * dt,
+            pose.phi + command.omega * dt,
         )
         t += dt
 
@@ -256,6 +258,12 @@ def simulate_track(
         rows=tuple(rows), converged=converged, final_pose=pose,
         waypoints_reached=wp_index, duration=t,
     )
+
+
+def _noise_stream(rng: np.random.Generator, sigma: float):
+    """Endless (x, y, phi) measurement noise, drawn in blocks of steps."""
+    while True:
+        yield from rng.normal(0.0, sigma, size=(_NOISE_BLOCK, 3)).tolist()
 
 
 def _reference_poses(start: Pose2D, waypoints: Sequence[Pose2D]) -> list[Pose2D]:
@@ -281,16 +289,17 @@ def _distance(pose: Pose2D, target: Pose2D) -> float:
 
 
 TRACE_HEADER = "t,x,y,phi,e1,e2,e3,v,omega,waypoint_index"
+# '%.9g' % v is format(v, '.9g') for every float, inf and nan included.
+_TRACE_ROW = ",".join(["%.9g"] * 9) + ",%d"
 
 
 def trace_to_csv(result: TrackResult) -> str:
     """Render a simulation trace as CSV text, 9 significant digits."""
     lines = [TRACE_HEADER]
     for row in result.rows:
-        values = (
-            row.t, row.pose.x, row.pose.y, row.pose.phi,
-            row.error.e1, row.error.e2, row.error.e3,
-            row.v, row.omega,
-        )
-        lines.append(",".join(f"{v:.9g}" for v in values) + f",{row.waypoint_index}")
+        pose, error = row.pose, row.error
+        lines.append(_TRACE_ROW % (
+            row.t, pose.x, pose.y, pose.phi, error.e1, error.e2, error.e3,
+            row.v, row.omega, row.waypoint_index,
+        ))
     return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import BoundaryEstimate
 from .cloud import check_rotation, frozen_array
 from .errors import DegenerateAnchorError, DomainError
 
@@ -216,11 +215,3 @@ def check_placeability(boundary_points, center, normal, geometry: FootGeometry =
             pose = FootPose(position=position, orientation=candidate.frame)
             return PlacementReport(placeable=True, pose=pose, candidates_tried=tried, accepted_anchor=anchor)
     return PlacementReport(placeable=False, pose=None, candidates_tried=tried, accepted_anchor=None)
-
-
-def place_foot(estimate: BoundaryEstimate, geometry: FootGeometry = FootGeometry()) -> PlacementReport:
-    """Placeability check wired to a boundary estimate's own patch."""
-    patch = estimate.source_patch
-    if patch.inliers.is_empty:
-        raise DomainError("cannot place a foot on an empty patch")
-    return check_placeability(estimate.points, patch.centroid, patch.normal, geometry)

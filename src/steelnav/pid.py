@@ -1,6 +1,7 @@
 """Single-loop PID with output saturation and anti-windup.
 
-Used by both the path-tracking controller and the magnet gap controller.
+Used by both the path-tracking controller and the magnet gap controller,
+whose simulators also share the step cap defined here.
 Controller memory is an explicit value passed in and returned, never hidden
 state, so closed loops stay reproducible and safe to run concurrently.
 """
@@ -11,6 +12,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
+
+# Most control steps one simulator run may take: a longer horizon or duration
+# is rejected before the loop starts instead of running without end.
+MAX_SIM_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,7 @@ class PIDGains:
             raise DomainError("integrator clamp must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PIDState:
     """Memory of one PID loop: error integral and previous error."""
 
@@ -56,24 +61,33 @@ def pid_step(error: float, gains: PIDGains, dt: float, state: PIDState) -> tuple
     if dt <= 0:
         raise DomainError("dt must be positive")
 
-    derivative = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
+    prev_error = state.prev_error
+    derivative = 0.0 if prev_error is None else (error - prev_error) / dt
 
+    limit = gains.int_limit
     integral = state.integral + error * dt
-    integral = _clamp(integral, gains.int_limit)
+    if integral > limit:
+        integral = limit
+    elif integral < -limit:
+        integral = -limit
 
     raw = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    out = _clamp(raw, gains.out_limit)
+    limit = gains.out_limit
+    out = limit if raw > limit else -limit if raw < -limit else raw
 
-    saturated_same_sign = (raw != out) and (raw * error > 0)
-    if saturated_same_sign:
+    if raw != out and raw * error > 0:  # saturated in the error's direction
         integral = state.integral
 
-    return out, PIDState(integral=integral, prev_error=error)
+    return out, PIDState(integral, error)
 
 
-def _clamp(value: float, limit: float) -> float:
-    if value > limit:
-        return limit
-    if value < -limit:
-        return -limit
-    return value
+def step_count(span: float, dt: float, name: str) -> int:
+    """Number of ``dt`` steps in ``span`` seconds.
+
+    A ratio above ``MAX_SIM_STEPS``, or one that is not a number, raises
+    :class:`DomainError` naming ``name``.
+    """
+    ratio = span / dt
+    if not ratio <= MAX_SIM_STEPS:
+        raise DomainError(f"{name} / dt asks for more than {MAX_SIM_STEPS} steps")
+    return int(round(ratio))

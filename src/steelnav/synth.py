@@ -117,8 +117,3 @@ def generate_cloud(spec: SyntheticCloudSpec, seed: int = 0) -> PointCloud:
             points = np.vstack([surface, outliers])
 
     return PointCloud(points=spec.pose.apply(points), frame_id=Frame.CAMERA)
-
-
-def surface_point_count(spec: SyntheticCloudSpec) -> int:
-    """Number of grid points the shape keeps (before noise and outliers)."""
-    return len(surface_grid(spec))

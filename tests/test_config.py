@@ -136,6 +136,15 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("ini", [
+    "[DEFAULT]\nseed = 3\n[filter]\n",
+    "[DEFAULT]\nseed = 3\n",
+], ids=["beside-a-section", "alone"])
+def test_default_section_rejected(tmp_path, ini):
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\] section is not supported"):
+        load_config(write(tmp_path, ini))
+
+
 def test_bad_number_rejected(tmp_path):
     path = write(tmp_path, "[filter]\nvoxel_leaf = tiny\n")
     with pytest.raises(ConfigError, match="not a number"):

@@ -11,7 +11,6 @@ from steelnav.footprint import (
     build_candidate,
     check_placeability,
     closest_points,
-    place_foot,
     probe_passes,
 )
 
@@ -24,6 +23,11 @@ def patch_of(points):
         centroid=pts.mean(axis=0),
         plane_coeffs=np.array([0.0, 0.0, 1.0, 0.0]),
     )
+
+
+def place_on(patch):
+    rim = estimate_boundary(patch, 0.02)
+    return check_placeability(rim.points, patch.centroid, patch.normal, FootGeometry())
 
 
 def square_patch(size=0.30, pitch=0.01):
@@ -176,7 +180,7 @@ def test_probe_relative_tolerance_band():
 
 def test_square_accepts_foot():
     patch = square_patch()
-    report = place_foot(estimate_boundary(patch, 0.02), FootGeometry())
+    report = place_on(patch)
     assert report.placeable
     assert report.pose is not None
     assert report.accepted_anchor is not None
@@ -189,7 +193,7 @@ def test_strip_rejects_foot():
     ys = np.arange(ny) * pitch
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     patch = patch_of(np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)]))
-    report = place_foot(estimate_boundary(patch, 0.02), FootGeometry())
+    report = place_on(patch)
     assert not report.placeable
     assert report.pose is None
     assert report.candidates_tried == 5
@@ -197,13 +201,13 @@ def test_strip_rejects_foot():
 
 def test_accepted_pose_lies_on_patch_plane():
     patch = square_patch()
-    report = place_foot(estimate_boundary(patch, 0.02), FootGeometry())
+    report = place_on(patch)
     assert abs(report.pose.position[2]) <= 0.005
 
 
 def test_accepted_orientation_normal_column_matches_patch():
     patch = square_patch()
-    report = place_foot(estimate_boundary(patch, 0.02), FootGeometry())
+    report = place_on(patch)
     np.testing.assert_allclose(report.pose.orientation[:, 2], patch.normal, atol=1e-12)
     assert np.linalg.det(report.pose.orientation) == pytest.approx(1.0, abs=1e-9)
 

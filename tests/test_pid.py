@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from steelnav.errors import DomainError
-from steelnav.pid import PIDGains, PIDState, pid_step
+from steelnav.pid import MAX_SIM_STEPS, PIDGains, PIDState, pid_step, step_count
 
 
 GAINS = PIDGains(kp=2.0, ki=0.5, kd=0.05, out_limit=1.0, int_limit=1.0)
@@ -110,3 +111,41 @@ def test_closed_loop_first_order_plant_converges():
         out, state = pid_step(1.0 - value, gains, dt, state)
         value += out * dt
     assert math.isclose(value, 1.0, abs_tol=1e-3)
+
+
+def reference_pid_step(error, gains, dt, state):
+    """pid_step written with a clamp helper, as a reference."""
+    def clamp(value, limit):
+        if value > limit:
+            return limit
+        if value < -limit:
+            return -limit
+        return value
+
+    derivative = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
+    integral = clamp(state.integral + error * dt, gains.int_limit)
+    raw = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    out = clamp(raw, gains.out_limit)
+    if raw != out and raw * error > 0:
+        integral = state.integral
+    return out, PIDState(integral=integral, prev_error=error)
+
+
+def test_pid_step_matches_clamp_reference():
+    rng = np.random.default_rng(3)
+    gains = PIDGains(kp=2.0, ki=3.0, kd=0.1, out_limit=1.0, int_limit=0.5)
+    state = ref = PIDState()
+    # errors on and around both limits as well as random ones
+    errors = [1.0, -1.0, 0.5, -0.5, 0.0, -0.0] + list(rng.normal(0.0, 1.0, 2000))
+    for error in errors:
+        out, state = pid_step(error, gains, 0.01, state)
+        ref_out, ref = reference_pid_step(error, gains, 0.01, ref)
+        assert (out, state) == (ref_out, ref)
+
+
+def test_step_count_caps_the_run():
+    assert step_count(60.0, 0.02, "horizon") == 3000
+    assert step_count(MAX_SIM_STEPS * 0.5, 0.5, "horizon") == MAX_SIM_STEPS
+    for span in (MAX_SIM_STEPS * 0.5 + 1.0, 1e308, math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"more than {MAX_SIM_STEPS} steps"):
+            step_count(span, 0.5, "horizon")

@@ -5,13 +5,13 @@ import pytest
 
 from steelnav.cloud import RigidTransform
 from steelnav.errors import DomainError
-from steelnav.synth import CloudShape, SyntheticCloudSpec, generate_cloud, surface_grid, surface_point_count
+from steelnav.synth import CloudShape, SyntheticCloudSpec, generate_cloud, surface_grid
 
 
 def test_default_square_point_count():
     # 0.30 m at 0.01 m pitch: 31 samples per axis
     spec = SyntheticCloudSpec()
-    assert surface_point_count(spec) == 31 * 31
+    assert len(surface_grid(spec)) == 31 * 31
     assert len(generate_cloud(spec)) == 961
 
 
@@ -26,7 +26,7 @@ def test_grid_is_centered_and_planar():
 
 def test_strip_count_matches_axis_product():
     spec = SyntheticCloudSpec(shape=CloudShape.STRIP, size_x=0.40, size_y=0.05, pitch=0.01)
-    assert surface_point_count(spec) == 41 * 6
+    assert len(surface_grid(spec)) == 41 * 6
 
 
 def test_l_shape_removes_open_positive_quadrant():
@@ -53,7 +53,7 @@ def test_circle_count_matches_disk_mask():
     xs = -0.15 + 0.01 * np.arange(31)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     expected = int((gx ** 2 + gy ** 2 <= 0.15 ** 2 + 1e-9).sum())
-    assert surface_point_count(spec) == expected
+    assert len(surface_grid(spec)) == expected
     pts = surface_grid(spec)
     assert (pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.15 ** 2 + 1e-6).all()
 
