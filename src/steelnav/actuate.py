@@ -21,7 +21,7 @@ import numpy as np
 from .cloud import frozen_array
 from .errors import DomainError, TransitionError, TrajectoryError
 from .footprint import FootPose
-from .pid import PIDGains, PIDState, pid_step, step_count
+from .pid import PIDGains, PIDState, _pid, step_count
 
 TOUCHED_GAP_MM = 0.0
 UNTOUCHED_GAP_MM = 1.0
@@ -63,8 +63,7 @@ class MagnetArrayState:
     def __post_init__(self):
         if self.gap_left < 0 or self.gap_right < 0:
             raise DomainError("magnet gaps cannot be negative")
-        if not -1.0 <= self.command <= 1.0:
-            raise DomainError("motor command must lie in [-1, 1]")
+        _check_command(self.command)
 
     @property
     def mean_gap(self) -> float:
@@ -96,34 +95,9 @@ class MagnetPlant:
             raise DomainError("plant speed gain must be positive")
 
 
-def magnet_pid_step(
-    state: MagnetArrayState,
-    setpoint: float,
-    gains: PIDGains,
-    plant: MagnetPlant,
-    dt: float,
-    trim_gain: float = 0.5,
-) -> MagnetArrayState:
-    """Advance the gap control loop by one step.
-
-    The PID acts on the mean-gap error and issues a symmetric command; a
-    proportional trim on the left/right gap difference keeps the two sides
-    level.  The plant integrates one explicit-Euler step per side; a side
-    reaching contact sticks there with its closing rate absorbed.
-    """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    if setpoint < 0:
-        raise DomainError("gap setpoint cannot be negative")
-
-    error = setpoint - state.mean_gap
-    command, controller = pid_step(error, gains, dt, state.controller)
-    trim = trim_gain * (state.gap_left - state.gap_right)
-
-    gap_l, rate_l = _plant_side(state.gap_left, state.rate_left, _clamp_unit(command - trim), plant, dt)
-    gap_r, rate_r = _plant_side(state.gap_right, state.rate_right, _clamp_unit(command + trim), plant, dt)
-
-    return MagnetArrayState(state.mode, gap_l, gap_r, command, rate_l, rate_r, controller)
+def _check_command(command: float) -> None:
+    if not -1.0 <= command <= 1.0:
+        raise DomainError("motor command must lie in [-1, 1]")
 
 
 def _clamp_unit(value: float) -> float:
@@ -173,7 +147,14 @@ def simulate_magnet(
     trim_gain: float = 0.5,
     tolerance: float = SETTLE_TOLERANCE_MM,
 ) -> MagnetTrace:
-    """Run the gap loop from given initial gaps for ``duration`` seconds."""
+    """Run the gap loop from given initial gaps for ``duration`` seconds.
+
+    Each step, the PID acts on the mean-gap error and issues a symmetric
+    command; a proportional trim on the left/right gap difference keeps the
+    two sides level.  The plant integrates one explicit-Euler step per side;
+    a side reaching contact sticks there with its closing rate absorbed.  A
+    PID output outside [-1, 1] raises :class:`DomainError` at its step.
+    """
     if dt <= 0:
         raise DomainError("dt must be positive")
     if duration <= 0:
@@ -181,12 +162,26 @@ def simulate_magnet(
     mode = MagnetMode.TOUCHED if setpoint == TOUCHED_GAP_MM else MagnetMode.UNTOUCHED
     state = MagnetArrayState(mode=mode, gap_left=initial_left, gap_right=initial_right)
     steps = step_count(duration, dt, "duration")
+    if setpoint < 0:
+        raise DomainError("gap setpoint cannot be negative")
+
+    # The loop runs on plain floats; the plant keeps the gaps at or above
+    # contact, so only the command needs checking on the way.
+    gap_l, gap_r, rate_l, rate_r = state.gap_left, state.gap_right, state.rate_left, state.rate_right
+    command, integral, prev_error = state.command, state.controller.integral, state.controller.prev_error
     rows = []
     t = 0.0
     for _ in range(steps):
-        state = magnet_pid_step(state, setpoint, gains, plant, dt, trim_gain)
+        error = setpoint - 0.5 * (gap_l + gap_r)
+        command, integral = _pid(error, gains, dt, integral, prev_error)
+        prev_error = error
+        _check_command(command)
+        trim = trim_gain * (gap_l - gap_r)
+        gap_l, rate_l = _plant_side(gap_l, rate_l, _clamp_unit(command - trim), plant, dt)
+        gap_r, rate_r = _plant_side(gap_r, rate_r, _clamp_unit(command + trim), plant, dt)
         t += dt
-        rows.append((t, state.gap_left, state.gap_right, state.command))
+        rows.append((t, gap_l, gap_r, command))
+    state = MagnetArrayState(mode, gap_l, gap_r, command, rate_l, rate_r, PIDState(integral, prev_error))
 
     settle_time: Optional[float] = None
     for row in reversed(rows):

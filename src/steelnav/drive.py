@@ -3,21 +3,22 @@ path controller, and a kinematic closed-loop simulator.
 
 The controller splits into a position loop (distance to the active waypoint
 drives linear speed) and a heading loop (bearing-to-waypoint error drives
-turn rate); a mixer saturates both into one drive command.  The simulator
-integrates unicycle kinematics with explicit Euler and produces a step-by-
-step trace for convergence checks and CSV export.
+turn rate); each output is saturated by its loop's limit, and the speed is
+further capped by the reference speed.  The simulator integrates unicycle
+kinematics with explicit Euler and produces a step-by-step trace for
+convergence checks and CSV export.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .pid import PIDGains, PIDState, pid_step, step_count
+from .pid import PIDGains, _pid, step_count
 
 TAU = 2.0 * math.pi
 # Measurement noise is drawn this many steps at a time; the stream is the same
@@ -80,22 +81,6 @@ class DriveGains:
     heading: PIDGains = PIDGains(kp=2.0, ki=0.0, kd=0.2, out_limit=1.0, int_limit=0.5)
 
 
-@dataclass(frozen=True, slots=True)
-class DriveState:
-    """Controller memory for both loops."""
-
-    position: PIDState = field(default_factory=PIDState)
-    heading: PIDState = field(default_factory=PIDState)
-
-
-@dataclass(frozen=True, slots=True)
-class DriveCommand:
-    """Saturated drive command: linear speed and turn rate."""
-
-    v: float
-    omega: float
-
-
 def tracking_error(current: Pose2D, target: Pose2D) -> TrackingError:
     """World-frame pose difference rotated into the robot body frame.
 
@@ -124,27 +109,6 @@ def error_rate(e: TrackingError, v_c: float, omega_c: float, v_r: float, omega_r
         e2=-omega_c * e.e1 + v_r * math.sin(e.e3),
         e3=omega_r - omega_c,
     )
-
-
-def mixed_pid_step(
-    e: TrackingError,
-    heading_error: float,
-    gains: DriveGains,
-    dt: float,
-    state: DriveState,
-    v_limit: Optional[float] = None,
-) -> tuple[DriveCommand, DriveState]:
-    """One step of the two-loop controller.
-
-    The position loop acts on the distance to the waypoint, the heading loop
-    on the supplied bearing error; both outputs are saturated by their loop
-    limits, and the linear speed additionally by ``v_limit`` when given.
-    """
-    v, pos_state = pid_step(e.distance, gains.position, dt, state.position)
-    omega, head_state = pid_step(heading_error, gains.heading, dt, state.heading)
-    if v_limit is not None:
-        v = min(v, v_limit)
-    return DriveCommand(v=v, omega=omega), DriveState(position=pos_state, heading=head_state)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,8 +161,8 @@ def simulate_track(
     waypoint is accepted when the robot comes within ``accept_radius`` of
     it.  The reference heading of each waypoint is the bearing of its
     approach segment.  ``v_ref`` caps the commanded speed.  ``noise_sigma``
-    adds Gaussian position/heading measurement noise (off by default, which
-    keeps traces reproducible).  Running out of horizon is reported through
+    (non-negative) adds Gaussian position/heading measurement noise; the
+    default 0 turns it off.  Running out of horizon is reported through
     ``converged``, not an exception.
     """
     if len(waypoints) < 1:
@@ -211,14 +175,20 @@ def simulate_track(
         raise DomainError("accept_radius must be positive")
     if v_ref <= 0:
         raise DomainError("v_ref must be positive")
+    if not noise_sigma >= 0:
+        raise DomainError("noise_sigma must be non-negative")
 
     references = _reference_poses(start, waypoints)
     max_steps = step_count(horizon, dt, "horizon")
     rng = np.random.default_rng(noise_seed)
     noise = _noise_stream(rng, noise_sigma) if noise_sigma > 0 else None
 
+    pos_gains, head_gains = gains.position, gains.heading
+    # Both loops' memory as plain floats: the trace keeps only the integrals.
+    pos_integral = head_integral = 0.0
+    pos_prev = head_prev = None
+
     pose = start
-    state = DriveState()
     rows: list[TraceRow] = []
     wp_index = 0
     t = 0.0
@@ -235,21 +205,24 @@ def simulate_track(
             jx, jy, jphi = next(noise)
             measured = Pose2D(pose.x + jx, pose.y + jy, pose.phi + jphi)
         e = tracking_error(measured, target)
+        distance = e.distance
         bearing = math.atan2(target.y - measured.y, target.x - measured.x)
         heading_error = wrap_angle(bearing - measured.phi)
-        command, state = mixed_pid_step(e, heading_error, gains, dt, state, v_limit=v_ref)
+        v, pos_integral = _pid(distance, pos_gains, dt, pos_integral, pos_prev)
+        omega, head_integral = _pid(heading_error, head_gains, dt, head_integral, head_prev)
+        pos_prev, head_prev = distance, heading_error
+        if v > v_ref:
+            v = v_ref
 
         rows.append(TraceRow(
-            t=t, pose=pose, error=e, v=command.v, omega=command.omega,
-            waypoint_index=wp_index,
-            position_integral=state.position.integral,
-            heading_integral=state.heading.integral,
+            t=t, pose=pose, error=e, v=v, omega=omega, waypoint_index=wp_index,
+            position_integral=pos_integral, heading_integral=head_integral,
         ))
 
         pose = Pose2D(
-            pose.x + command.v * math.cos(pose.phi) * dt,
-            pose.y + command.v * math.sin(pose.phi) * dt,
-            pose.phi + command.omega * dt,
+            pose.x + v * math.cos(pose.phi) * dt,
+            pose.y + v * math.sin(pose.phi) * dt,
+            pose.phi + omega * dt,
         )
         t += dt
 

@@ -60,25 +60,30 @@ def pid_step(error: float, gains: PIDGains, dt: float, state: PIDState) -> tuple
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
+    out, integral = _pid(error, gains, dt, state.integral, state.prev_error)
+    return out, PIDState(integral, error)
 
-    prev_error = state.prev_error
+
+def _pid(error: float, gains: PIDGains, dt: float, integral: float,
+         prev_error: Optional[float]) -> tuple[float, float]:
+    """The control law of :func:`pid_step` on plain floats, for the simulator
+    loops: returns the output and the new integral; ``dt`` is not checked."""
     derivative = 0.0 if prev_error is None else (error - prev_error) / dt
 
     limit = gains.int_limit
-    integral = state.integral + error * dt
-    if integral > limit:
-        integral = limit
-    elif integral < -limit:
-        integral = -limit
+    advanced = integral + error * dt
+    if advanced > limit:
+        advanced = limit
+    elif advanced < -limit:
+        advanced = -limit
 
-    raw = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    raw = gains.kp * error + gains.ki * advanced + gains.kd * derivative
     limit = gains.out_limit
     out = limit if raw > limit else -limit if raw < -limit else raw
 
     if raw != out and raw * error > 0:  # saturated in the error's direction
-        integral = state.integral
-
-    return out, PIDState(integral, error)
+        return out, integral
+    return out, advanced
 
 
 def step_count(span: float, dt: float, name: str) -> int:

@@ -3,6 +3,7 @@ trajectories."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from steelnav.actuate import (
     initial_jump_state,
     inchworm_step,
     jump_trace_to_jsonl,
-    magnet_pid_step,
     magnet_trace_to_csv,
     mode_setpoint,
     plan_jump_trajectory,
@@ -75,19 +75,31 @@ def test_magnet_plant_validation():
 
 
 def test_magnet_step_validation():
-    state = MagnetArrayState()
-    with pytest.raises(DomainError):
-        magnet_pid_step(state, 1.0, DEFAULT_MAGNET_GAINS, MagnetPlant(), dt=0.0)
-    with pytest.raises(DomainError):
-        magnet_pid_step(state, -0.5, DEFAULT_MAGNET_GAINS, MagnetPlant(), dt=0.005)
+    with pytest.raises(DomainError, match="dt must be positive"):
+        simulate_magnet(1.0, 1.0, UNTOUCHED_GAP_MM, dt=0.0)
+    with pytest.raises(DomainError, match="gap setpoint cannot be negative"):
+        simulate_magnet(1.0, 1.0, -0.5)
 
 
 def test_magnet_step_holds_equilibrium():
-    state = MagnetArrayState(mode=MagnetMode.UNTOUCHED, gap_left=1.0, gap_right=1.0)
-    stepped = magnet_pid_step(state, 1.0, DEFAULT_MAGNET_GAINS, MagnetPlant(), dt=0.005)
-    assert stepped.gap_left == 1.0
-    assert stepped.gap_right == 1.0
-    assert stepped.command == 0.0
+    trace = simulate_magnet(1.0, 1.0, UNTOUCHED_GAP_MM, duration=0.1)
+    assert all(row[1:] == (1.0, 1.0, 0.0) for row in trace.rows)
+    final = trace.final_state
+    assert (final.gap_left, final.gap_right, final.command) == (1.0, 1.0, 0.0)
+    assert (final.rate_left, final.rate_right) == (0.0, 0.0)
+    assert trace.settle_time == trace.rows[0][0]
+
+
+def test_magnet_negative_setpoint_rejected_without_steps():
+    # duration < dt / 2 rounds to a run of zero steps
+    with pytest.raises(DomainError, match="gap setpoint cannot be negative"):
+        simulate_magnet(1.0, 1.0, -0.5, duration=0.001)
+
+
+def test_magnet_command_outside_unit_range_raises():
+    gains = replace(DEFAULT_MAGNET_GAINS, out_limit=1.5)
+    with pytest.raises(DomainError, match=r"motor command must lie in \[-1, 1\]"):
+        simulate_magnet(1.0, 1.0, TOUCHED_GAP_MM, gains=gains)
 
 
 def test_magnet_touch_from_rolling_clearance_settles():

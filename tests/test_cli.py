@@ -237,6 +237,19 @@ def test_simulate_bad_config_value_exits_2(tmp_path, capsys, simulator, ini):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("simulator, ini, message", [
+    ("magnet", "[magnet]\nout_limit = 1.5\n", "motor command must lie in [-1, 1]"),
+    ("magnet", "[magnet]\nsetpoint = -0.5\n", "gap setpoint cannot be negative"),
+    ("track", "[drive]\nnoise_sigma = -0.5\n", "noise_sigma must be non-negative"),
+], ids=["magnet-out-limit-above-1", "magnet-setpoint-negative", "noise-sigma-negative"])
+def test_simulate_rejected_run_exits_2(tmp_path, capsys, simulator, ini, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    code = main(["simulate", simulator, "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert message in capsys.readouterr().err
+
+
 def test_decide_non_finite_flag_exits_2(tmp_path, capsys):
     path = gen_square(tmp_path)
     capsys.readouterr()

@@ -9,18 +9,16 @@ import pytest
 from steelnav.drive import (
     TRACE_HEADER,
     DriveGains,
-    DriveState,
     Pose2D,
     TrackingError,
     error_rate,
-    mixed_pid_step,
     simulate_track,
     trace_to_csv,
     tracking_error,
     wrap_angle,
 )
 from steelnav.errors import DomainError
-from steelnav.pid import PIDGains
+from steelnav.pid import PIDGains, PIDState, pid_step
 
 
 # -- wrap_angle --------------------------------------------------------------
@@ -159,30 +157,36 @@ def test_error_rate_matches_central_difference():
         assert numeric[2] == pytest.approx(analytic.e3, abs=1e-6)
 
 
-# -- mixed_pid_step ----------------------------------------------------------
+# -- the two-loop controller, as simulate_track runs it ----------------------
 
 
 def test_mixed_pid_zero_error_zero_command():
-    cmd, _ = mixed_pid_step(TrackingError(0.0, 0.0, 0.0), 0.0, DriveGains(), 0.02, DriveState())
-    assert cmd.v == 0.0
-    assert cmd.omega == 0.0
+    gains = DriveGains()
+    for loop in (gains.position, gains.heading):
+        out, _ = pid_step(0.0, loop, 0.02, PIDState())
+        assert out == 0.0
+    # a waypoint dead ahead never asks for a turn
+    result = simulate_track([Pose2D(1.0, 0.0, 0.0)])
+    assert result.rows and all(row.omega == 0.0 for row in result.rows)
 
 
 def test_mixed_pid_first_step_heading_is_pure_p():
     gains = DriveGains()
-    cmd, _ = mixed_pid_step(TrackingError(0.0, 0.0, 0.3), 0.3, gains, 0.02, DriveState())
-    assert cmd.omega == pytest.approx(gains.heading.kp * 0.3)
+    first = simulate_track([Pose2D(1.0, 0.3, 0.0)], gains=gains).rows[0]
+    assert first.omega == pytest.approx(gains.heading.kp * math.atan2(0.3, 1.0))
 
 
 def test_mixed_pid_saturates_speed():
     gains = DriveGains()
-    cmd, _ = mixed_pid_step(TrackingError(5.0, 0.0, 0.0), 0.0, gains, 0.02, DriveState())
-    assert cmd.v == pytest.approx(gains.position.out_limit)
+    rows = simulate_track([Pose2D(5.0, 0.0, 0.0)], gains=gains, v_ref=1.0, horizon=1.0).rows
+    assert rows[0].v == gains.position.out_limit
+    assert max(row.v for row in rows) == gains.position.out_limit
 
 
 def test_mixed_pid_honors_external_speed_cap():
-    cmd, _ = mixed_pid_step(TrackingError(5.0, 0.0, 0.0), 0.0, DriveGains(), 0.02, DriveState(), v_limit=0.1)
-    assert cmd.v == pytest.approx(0.1)
+    rows = simulate_track([Pose2D(5.0, 0.0, 0.0)], v_ref=0.1, horizon=1.0).rows
+    assert rows[0].v == 0.1
+    assert max(row.v for row in rows) == 0.1
 
 
 # -- simulate_track ----------------------------------------------------------
@@ -267,6 +271,17 @@ def test_simulate_noise_reproducible_by_seed():
     c = simulate_track(wp, noise_sigma=0.01, noise_seed=5)
     assert trace_to_csv(a) == trace_to_csv(b)
     assert trace_to_csv(a) != trace_to_csv(c)
+
+
+@pytest.mark.parametrize("sigma", [-0.5, -1e-12, float("nan")])
+def test_simulate_rejects_negative_noise_sigma(sigma):
+    with pytest.raises(DomainError, match="noise_sigma must be non-negative"):
+        simulate_track([Pose2D(1.0, 0.0, 0.0)], noise_sigma=sigma)
+
+
+def test_simulate_zero_noise_sigma_is_noise_free():
+    wp = [Pose2D(1.0, 0.5, 0.0)]
+    assert trace_to_csv(simulate_track(wp, noise_sigma=0.0, noise_seed=9)) == trace_to_csv(simulate_track(wp))
 
 
 # -- trace CSV ---------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Byte-identity of the simulators and their CSV writers against plain
-reference versions: measurement noise drawn one step at a time, the magnet
-state rebuilt with ``dataclasses.replace``, and rows formatted value by
-value with f-strings."""
+"""Identity of the simulators and their CSV writers against plain reference
+versions: the two-loop drive step and the magnet gap step as functions over
+``PIDState`` values, measurement noise drawn one step at a time, the magnet
+state rebuilt with ``dataclasses.replace``, and rows formatted value by value
+with f-strings.  The simulators must match every field of every trace row
+and of the final state, not only the CSV text."""
 
 import math
 import struct
@@ -24,25 +26,34 @@ from steelnav.actuate import (
 from steelnav.drive import (
     TRACE_HEADER,
     DriveGains,
-    DriveState,
     Pose2D,
     TraceRow,
     _reference_poses,
-    mixed_pid_step,
     simulate_track,
     trace_to_csv,
     tracking_error,
     wrap_angle,
 )
-from steelnav.pid import pid_step
+from steelnav.errors import DomainError
+from steelnav.pid import PIDGains, PIDState, pid_step
 
 
-def reference_track(waypoints, noise_sigma, noise_seed, dt=0.02, v_ref=0.2, horizon=60.0, accept_radius=0.03):
+def reference_drive_step(e, heading_error, gains, dt, position, heading, v_limit):
+    """One step of the two-loop controller: speed from the distance, turn rate
+    from the bearing error, the speed capped at ``v_limit``."""
+    v, position = pid_step(e.distance, gains.position, dt, position)
+    omega, heading = pid_step(heading_error, gains.heading, dt, heading)
+    return min(v, v_limit), omega, position, heading
+
+
+def reference_track(waypoints, noise_sigma, noise_seed, gains=DriveGains(), dt=0.02, v_ref=0.2, horizon=60.0,
+                    accept_radius=0.03):
     """simulate_track's loop with one three-value noise draw per step."""
-    start, gains = Pose2D(0.0, 0.0, 0.0), DriveGains()
+    start = Pose2D(0.0, 0.0, 0.0)
     references = _reference_poses(start, waypoints)
     rng = np.random.default_rng(noise_seed)
-    pose, state, rows, wp_index, t = start, DriveState(), [], 0, 0.0
+    pose, rows, wp_index, t = start, [], 0, 0.0
+    position = heading = PIDState()
     for _ in range(int(round(horizon / dt))):
         while wp_index < len(references) and math.hypot(
                 references[wp_index].x - pose.x, references[wp_index].y - pose.y) <= accept_radius:
@@ -52,20 +63,20 @@ def reference_track(waypoints, noise_sigma, noise_seed, dt=0.02, v_ref=0.2, hori
         target = references[wp_index]
         measured = pose
         if noise_sigma > 0:
-            jitter = rng.normal(0.0, noise_sigma, size=3)
+            jitter = rng.normal(0.0, noise_sigma, size=3).tolist()
             measured = Pose2D(pose.x + jitter[0], pose.y + jitter[1], pose.phi + jitter[2])
         e = tracking_error(measured, target)
         bearing = math.atan2(target.y - measured.y, target.x - measured.x)
         heading_error = wrap_angle(bearing - measured.phi)
-        command, state = mixed_pid_step(e, heading_error, gains, dt, state, v_limit=v_ref)
+        v, omega, position, heading = reference_drive_step(e, heading_error, gains, dt, position, heading, v_ref)
         rows.append(TraceRow(
-            t=t, pose=pose, error=e, v=command.v, omega=command.omega, waypoint_index=wp_index,
-            position_integral=state.position.integral, heading_integral=state.heading.integral,
+            t=t, pose=pose, error=e, v=v, omega=omega, waypoint_index=wp_index,
+            position_integral=position.integral, heading_integral=heading.integral,
         ))
         pose = Pose2D(
-            x=pose.x + command.v * math.cos(pose.phi) * dt,
-            y=pose.y + command.v * math.sin(pose.phi) * dt,
-            phi=pose.phi + command.omega * dt,
+            x=pose.x + v * math.cos(pose.phi) * dt,
+            y=pose.y + v * math.sin(pose.phi) * dt,
+            phi=pose.phi + omega * dt,
         )
         t += dt
     return rows, pose, wp_index, t
@@ -80,21 +91,33 @@ def reference_trace_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_magnet_rows(left, right, setpoint, plant, dt=0.005, duration=2.0, trim_gain=0.5):
-    """simulate_magnet's loop with the state rebuilt by dataclasses.replace."""
+def reference_magnet_step(state, setpoint, gains, plant, dt, trim_gain):
+    """One gap control step; the rebuilt state checks the gaps and the command."""
+    if setpoint < 0:
+        raise DomainError("gap setpoint cannot be negative")
+    command, controller = pid_step(setpoint - state.mean_gap, gains, dt, state.controller)
+    trim = trim_gain * (state.gap_left - state.gap_right)
+    gap_l, rate_l = _plant_side(state.gap_left, state.rate_left, max(-1.0, min(1.0, command - trim)), plant, dt)
+    gap_r, rate_r = _plant_side(state.gap_right, state.rate_right, max(-1.0, min(1.0, command + trim)), plant, dt)
+    return replace(state, gap_left=gap_l, gap_right=gap_r, rate_left=rate_l, rate_right=rate_r,
+                   command=command, controller=controller)
+
+
+def reference_magnet(left, right, setpoint, plant, gains=DEFAULT_MAGNET_GAINS, dt=0.005, duration=2.0,
+                     trim_gain=0.5, tolerance=0.05):
+    """simulate_magnet's loop over whole states: (rows, every state from the
+    initial one to the final one, settle time)."""
     mode = MagnetMode.TOUCHED if setpoint == 0.0 else MagnetMode.UNTOUCHED
-    state = MagnetArrayState(mode=mode, gap_left=left, gap_right=right)
+    states = [MagnetArrayState(mode=mode, gap_left=left, gap_right=right)]
     rows, t = [], 0.0
     for _ in range(int(round(duration / dt))):
-        command, controller = pid_step(setpoint - state.mean_gap, DEFAULT_MAGNET_GAINS, dt, state.controller)
-        trim = trim_gain * (state.gap_left - state.gap_right)
-        gap_l, rate_l = _plant_side(state.gap_left, state.rate_left, max(-1.0, min(1.0, command - trim)), plant, dt)
-        gap_r, rate_r = _plant_side(state.gap_right, state.rate_right, max(-1.0, min(1.0, command + trim)), plant, dt)
-        state = replace(state, gap_left=gap_l, gap_right=gap_r, rate_left=rate_l, rate_right=rate_r,
-                        command=command, controller=controller)
+        state = reference_magnet_step(states[-1], setpoint, gains, plant, dt, trim_gain)
+        states.append(state)
         t += dt
         rows.append((t, state.gap_left, state.gap_right, state.command))
-    return rows
+    inside = [abs(gl - setpoint) < tolerance and abs(gr - setpoint) < tolerance for _, gl, gr, _ in rows]
+    settle_time = next((rows[i][0] for i in range(len(rows)) if all(inside[i:])), None)
+    return rows, states, settle_time
 
 
 def reference_magnet_csv(rows) -> str:
@@ -111,6 +134,25 @@ def reference_trajectory_csv(path) -> str:
 ROUTE = (Pose2D(0.7, 0.2, 0.0), Pose2D(1.1, 0.8, 0.0), Pose2D(0.5, 1.2, 0.0))
 
 
+def assert_same_rows(got, want):
+    """Row by row, every field bit for bit: a float's repr round-trips, and a
+    numpy scalar where a Python float belongs shows as ``np.float64(...)``."""
+    assert len(got) == len(want)
+    for step, (a, b) in enumerate(zip(got, want)):
+        assert (step, repr(a)) == (step, repr(b))
+
+
+def assert_track_matches_reference(waypoints, sigma, seed, **kwargs):
+    result = simulate_track(waypoints, noise_sigma=sigma, noise_seed=seed, **kwargs)
+    rows, final_pose, reached, duration = reference_track(waypoints, sigma, seed, **kwargs)
+    assert len(rows) > 256  # longer than one noise block
+    assert_same_rows(result.rows, rows)
+    assert trace_to_csv(result) == reference_trace_csv(rows)
+    assert repr((result.final_pose, result.waypoints_reached, result.duration)) == repr((final_pose, reached, duration))
+    assert result.converged == (reached == len(waypoints))
+    return result
+
+
 @pytest.mark.parametrize("waypoints, sigma, seed", [
     ((Pose2D(2.0, 0.0, 0.0),), 0.002, 0),
     ((Pose2D(2.0, 0.0, 0.0),), 0.002, 1),
@@ -119,12 +161,35 @@ ROUTE = (Pose2D(0.7, 0.2, 0.0), Pose2D(1.1, 0.8, 0.0), Pose2D(0.5, 1.2, 0.0))
     (ROUTE, 0.0, 3),
 ])
 def test_track_trace_matches_per_step_noise_reference(waypoints, sigma, seed):
-    result = simulate_track(waypoints, noise_sigma=sigma, noise_seed=seed)
-    rows, final_pose, reached, duration = reference_track(waypoints, sigma, seed)
-    assert len(rows) > 256  # longer than one noise block
-    assert trace_to_csv(result) == reference_trace_csv(rows)
-    assert reference_trace_csv(result.rows) == trace_to_csv(result)
-    assert (result.final_pose, result.waypoints_reached, result.duration) == (final_pose, reached, duration)
+    assert_track_matches_reference(waypoints, sigma, seed)
+
+
+def test_track_matches_reference_through_saturation_and_anti_windup():
+    gains = DriveGains(heading=PIDGains(kp=2.0, ki=0.6, kd=0.2, out_limit=1.0, int_limit=0.1))
+    behind = (Pose2D(-1.0, 0.3, 0.0), Pose2D(-0.2, 1.0, 0.0))
+    rows = assert_track_matches_reference(behind, 0.002, 5, gains=gains).rows
+    limit = gains.position.out_limit
+    held = [b for a, b in zip(rows, rows[1:]) if b.v == limit and b.position_integral == a.position_integral]
+    assert held  # the speed loop saturated and stopped integrating
+    assert any(abs(row.omega) == gains.heading.out_limit for row in rows)
+    assert any(abs(row.heading_integral) == gains.heading.int_limit for row in rows)
+
+
+def test_track_matches_reference_with_v_ref_below_speed_limit():
+    rows = assert_track_matches_reference(ROUTE, 0.002, 9, v_ref=0.1).rows
+    assert max(row.v for row in rows) == 0.1 < DriveGains().position.out_limit
+
+
+def assert_magnet_matches_reference(left, right, setpoint, plant, **kwargs):
+    trace = simulate_magnet(left, right, setpoint, plant=plant, **kwargs)
+    rows, states, settle_time = reference_magnet(left, right, setpoint, plant, **kwargs)
+    assert_same_rows(trace.rows, rows)
+    assert magnet_trace_to_csv(trace) == reference_magnet_csv(rows)
+    # the final state carries the gap rates and the controller memory as well
+    assert repr(trace.final_state) == repr(states[-1])
+    assert trace.final_state == states[-1]
+    assert trace.settle_time == settle_time
+    return states
 
 
 @pytest.mark.parametrize("left, right, setpoint, disturbance", [
@@ -132,11 +197,40 @@ def test_track_trace_matches_per_step_noise_reference(waypoints, sigma, seed):
     (0.4, 1.7, 0.0, -0.03),
 ])
 def test_magnet_trace_matches_replace_reference(left, right, setpoint, disturbance):
-    plant = MagnetPlant(disturbance=disturbance)
-    trace = simulate_magnet(left, right, setpoint, plant=plant)
-    rows = reference_magnet_rows(left, right, setpoint, plant)
-    assert list(trace.rows) == rows
-    assert magnet_trace_to_csv(trace) == reference_magnet_csv(rows)
+    assert_magnet_matches_reference(left, right, setpoint, MagnetPlant(disturbance=disturbance))
+
+
+def test_magnet_matches_reference_through_saturation_and_contact():
+    gains = PIDGains(kp=3.0, ki=2.0, kd=0.05, out_limit=1.0, int_limit=0.02)
+    states = assert_magnet_matches_reference(2.5, 0.3, 0.0, MagnetPlant(disturbance=-0.02), gains=gains)
+    held = [b for a, b in zip(states, states[1:])
+            if abs(b.command) == gains.out_limit and b.controller.integral == a.controller.integral]
+    assert held  # the command saturated and the integral stopped
+    assert any(abs(s.controller.integral) == gains.int_limit for s in states)
+    assert any(s.gap_right == 0.0 and s.gap_left > 0.0 for s in states)  # one side reached contact first
+
+
+def test_magnet_short_run_matches_reference():
+    assert_magnet_matches_reference(1.0, 1.0, 0.0, MagnetPlant(), duration=0.001)  # zero steps
+    assert_magnet_matches_reference(1.0, 1.2, 0.0, MagnetPlant(), duration=0.005)  # one step
+
+
+def test_magnet_command_range_check_fails_at_the_reference_step():
+    gains = replace(DEFAULT_MAGNET_GAINS, out_limit=1.5)
+    plant, dt = MagnetPlant(disturbance=6.0), 0.005
+
+    def fails(simulate, steps):
+        try:
+            simulate(1.0, 1.0, 1.0, plant=plant, gains=gains, dt=dt, duration=steps * dt)
+        except DomainError as exc:
+            assert str(exc) == "motor command must lie in [-1, 1]"
+            return True
+        return False
+
+    first = next(k for k in range(1, 400) if fails(reference_magnet, k))
+    assert first > 1
+    assert not fails(simulate_magnet, first - 1)
+    assert fails(simulate_magnet, first)
 
 
 def test_trajectory_csv_matches_reference():
