@@ -317,12 +317,18 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     members.
 
     Output points are ordered by voxel index (lexicographic), which makes the
-    result independent of input point order.
+    result independent of input point order.  A leaf so small that a voxel
+    index falls outside int64 is rejected.
     """
-    if leaf <= 0:
+    if not leaf > 0:
         raise DomainError("voxel leaf size must be positive")
     if cloud.is_empty:
         return cloud
+    # floor(p / leaf) grows with p, so the extreme coordinates give the extreme indices.
+    with np.errstate(over="ignore"):  # an infinite index fails the range check
+        lo, hi = np.floor(np.array([cloud.points.min(), cloud.points.max()]) / leaf)
+    if not (lo >= -2.0**63 and hi < 2.0**63):
+        raise DomainError(f"voxel leaf {leaf:g} m is too small for this cloud: voxel indices overflow int64")
     keys = np.floor(cloud.points / leaf).astype(np.int64)
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     sums = np.zeros((len(uniq), 3), dtype=np.float64)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,9 +46,14 @@ class Pose2D:
     phi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.phi)):
-            raise DomainError("pose components must be finite")
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
+        object.__setattr__(self, "phi", _checked_heading(self.x, self.y, self.phi))
+
+
+def _checked_heading(x: float, y: float, phi: float) -> float:
+    """A pose's heading, wrapped once all three components are known finite."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(phi)):
+        raise DomainError("pose components must be finite")
+    return wrap_angle(phi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,13 +65,17 @@ class TrackingError:
     e3: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.e1) and math.isfinite(self.e2) and math.isfinite(self.e3)):
-            raise DomainError("tracking error components must be finite")
+        _check_error(self.e1, self.e2, self.e3)
 
     @property
     def distance(self) -> float:
         """Euclidean position error."""
         return math.hypot(self.e1, self.e2)
+
+
+def _check_error(e1: float, e2: float, e3: float) -> None:
+    if not (math.isfinite(e1) and math.isfinite(e2) and math.isfinite(e3)):
+        raise DomainError("tracking error components must be finite")
 
 
 @dataclass(frozen=True)
@@ -87,14 +96,15 @@ def tracking_error(current: Pose2D, target: Pose2D) -> TrackingError:
     Forward/lateral components come from rotating (dx, dy) by the current
     heading; the heading component is the wrapped heading difference.
     """
-    dx = target.x - current.x
-    dy = target.y - current.y
-    c, s = math.cos(current.phi), math.sin(current.phi)
-    return TrackingError(
-        e1=c * dx + s * dy,
-        e2=-s * dx + c * dy,
-        e3=wrap_angle(target.phi - current.phi),
-    )
+    return TrackingError(*_tracking_error(current.x, current.y, current.phi, target.x, target.y, target.phi))
+
+
+def _tracking_error(x: float, y: float, phi: float, tx: float, ty: float, tphi: float) -> tuple[float, float, float]:
+    """The formula of :func:`tracking_error` on plain floats, for the simulator
+    loop; the result is not checked finite."""
+    dx, dy = tx - x, ty - y
+    c, s = math.cos(phi), math.sin(phi)
+    return c * dx + s * dy, -s * dx + c * dy, wrap_angle(tphi - phi)
 
 
 def error_rate(e: TrackingError, v_c: float, omega_c: float, v_r: float, omega_r: float) -> TrackingError:
@@ -111,22 +121,34 @@ def error_rate(e: TrackingError, v_c: float, omega_c: float, v_r: float, omega_r
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRow:
-    """One simulator step: state, error, and command before integration.
+class TraceRow(NamedTuple):
+    """One simulator step: true pose, error, and command before integration.
 
-    The integrator fields expose controller internals for anti-windup
-    checks; they are not part of the CSV schema.
+    The first ten fields are the CSV columns in order; the two integrator
+    fields expose controller internals for anti-windup checks.  ``pose`` and
+    ``error`` build a new object on each access.
     """
 
     t: float
-    pose: Pose2D
-    error: TrackingError
+    x: float
+    y: float
+    phi: float
+    e1: float
+    e2: float
+    e3: float
     v: float
     omega: float
     waypoint_index: int
     position_integral: float
     heading_integral: float
+
+    @property
+    def pose(self) -> Pose2D:
+        return Pose2D(self.x, self.y, self.phi)
+
+    @property
+    def error(self) -> TrackingError:
+        return TrackingError(self.e1, self.e2, self.e3)
 
 
 @dataclass(frozen=True)
@@ -178,7 +200,7 @@ def simulate_track(
     if not noise_sigma >= 0:
         raise DomainError("noise_sigma must be non-negative")
 
-    references = _reference_poses(start, waypoints)
+    targets = [(ref.x, ref.y, ref.phi) for ref in _reference_poses(start, waypoints)]
     max_steps = step_count(horizon, dt, "horizon")
     rng = np.random.default_rng(noise_seed)
     noise = _noise_stream(rng, noise_sigma) if noise_sigma > 0 else None
@@ -188,47 +210,44 @@ def simulate_track(
     pos_integral = head_integral = 0.0
     pos_prev = head_prev = None
 
-    pose = start
+    # True and measured pose as plain floats, checked in the order that Pose2D checks them.
+    x, y, phi = start.x, start.y, start.phi
     rows: list[TraceRow] = []
     wp_index = 0
     t = 0.0
 
     for _ in range(max_steps):
-        while wp_index < len(references) and _distance(pose, references[wp_index]) <= accept_radius:
+        while wp_index < len(targets):
+            tx, ty, tphi = targets[wp_index]
+            if not math.hypot(tx - x, ty - y) <= accept_radius:  # a NaN radius accepts nothing
+                break
             wp_index += 1
-        if wp_index == len(references):
-            break
+        else:
+            break  # every waypoint accepted
 
-        target = references[wp_index]
-        measured = pose
+        mx, my, mphi = x, y, phi
         if noise is not None:
             jx, jy, jphi = next(noise)
-            measured = Pose2D(pose.x + jx, pose.y + jy, pose.phi + jphi)
-        e = tracking_error(measured, target)
-        distance = e.distance
-        bearing = math.atan2(target.y - measured.y, target.x - measured.x)
-        heading_error = wrap_angle(bearing - measured.phi)
+            mx, my = x + jx, y + jy
+            mphi = _checked_heading(mx, my, phi + jphi)
+        e1, e2, e3 = _tracking_error(mx, my, mphi, tx, ty, tphi)
+        _check_error(e1, e2, e3)
+        distance = math.hypot(e1, e2)
+        heading_error = wrap_angle(math.atan2(ty - my, tx - mx) - mphi)
         v, pos_integral = _pid(distance, pos_gains, dt, pos_integral, pos_prev)
         omega, head_integral = _pid(heading_error, head_gains, dt, head_integral, head_prev)
         pos_prev, head_prev = distance, heading_error
         if v > v_ref:
             v = v_ref
 
-        rows.append(TraceRow(
-            t=t, pose=pose, error=e, v=v, omega=omega, waypoint_index=wp_index,
-            position_integral=pos_integral, heading_integral=head_integral,
-        ))
+        rows.append(TraceRow(t, x, y, phi, e1, e2, e3, v, omega, wp_index, pos_integral, head_integral))
 
-        pose = Pose2D(
-            pose.x + v * math.cos(pose.phi) * dt,
-            pose.y + v * math.sin(pose.phi) * dt,
-            pose.phi + omega * dt,
-        )
+        x, y = x + v * math.cos(phi) * dt, y + v * math.sin(phi) * dt
+        phi = _checked_heading(x, y, phi + omega * dt)
         t += dt
 
-    converged = wp_index == len(references)
     return TrackResult(
-        rows=tuple(rows), converged=converged, final_pose=pose,
+        rows=tuple(rows), converged=wp_index == len(targets), final_pose=Pose2D(x, y, phi),
         waypoints_reached=wp_index, duration=t,
     )
 
@@ -257,11 +276,7 @@ def _reference_poses(start: Pose2D, waypoints: Sequence[Pose2D]) -> list[Pose2D]
     return refs
 
 
-def _distance(pose: Pose2D, target: Pose2D) -> float:
-    return math.hypot(target.x - pose.x, target.y - pose.y)
-
-
-TRACE_HEADER = "t,x,y,phi,e1,e2,e3,v,omega,waypoint_index"
+TRACE_HEADER = ",".join(TraceRow._fields[:10])
 # '%.9g' % v is format(v, '.9g') for every float, inf and nan included.
 _TRACE_ROW = ",".join(["%.9g"] * 9) + ",%d"
 
@@ -269,10 +284,5 @@ _TRACE_ROW = ",".join(["%.9g"] * 9) + ",%d"
 def trace_to_csv(result: TrackResult) -> str:
     """Render a simulation trace as CSV text, 9 significant digits."""
     lines = [TRACE_HEADER]
-    for row in result.rows:
-        pose, error = row.pose, row.error
-        lines.append(_TRACE_ROW % (
-            row.t, pose.x, pose.y, pose.phi, error.e1, error.e2, error.e3,
-            row.v, row.omega, row.waypoint_index,
-        ))
+    lines += [_TRACE_ROW % row[:10] for row in result.rows]
     return "\n".join(lines) + "\n"

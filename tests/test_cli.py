@@ -241,7 +241,8 @@ def test_simulate_bad_config_value_exits_2(tmp_path, capsys, simulator, ini):
     ("magnet", "[magnet]\nout_limit = 1.5\n", "motor command must lie in [-1, 1]"),
     ("magnet", "[magnet]\nsetpoint = -0.5\n", "gap setpoint cannot be negative"),
     ("track", "[drive]\nnoise_sigma = -0.5\n", "noise_sigma must be non-negative"),
-], ids=["magnet-out-limit-above-1", "magnet-setpoint-negative", "noise-sigma-negative"])
+    ("track", "[drive]\nnoise_sigma = 1e308\n", "error: pose components must be finite"),
+], ids=["magnet-out-limit-above-1", "magnet-setpoint-negative", "noise-sigma-negative", "noise-sigma-1e308"])
 def test_simulate_rejected_run_exits_2(tmp_path, capsys, simulator, ini, message):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini, encoding="utf-8")
@@ -255,6 +256,15 @@ def test_decide_non_finite_flag_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["decide", str(path), "--voxel-leaf", "nan"]) == EXIT_ERROR
     assert "[filter] voxel_leaf: not a finite number" in capsys.readouterr().err
+
+
+def test_decide_voxel_leaf_overflowing_int64_exits_2(tmp_path, capsys):
+    path = gen_square(tmp_path)
+    capsys.readouterr()
+    assert main(["decide", str(path), "--voxel-leaf", "1e-300"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: voxel leaf 1e-300 m is too small for this cloud: voxel indices overflow int64\n"
 
 
 def test_decide_non_ascii_cloud_names_the_line(tmp_path, capsys):

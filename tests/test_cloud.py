@@ -274,6 +274,28 @@ def test_voxel_count_non_increasing_in_leaf():
 def test_voxel_rejects_bad_leaf():
     with pytest.raises(DomainError):
         voxel_downsample(make_cloud([[0, 0, 0]]), 0.0)
+    with pytest.raises(DomainError, match="must be positive"):
+        voxel_downsample(make_cloud([[0, 0, 0]]), float("nan"))
+
+
+@pytest.mark.filterwarnings("error")  # no numpy overflow or cast warning either
+@pytest.mark.parametrize("leaf, x", [
+    (1e-300, 0.5),           # index 5e299
+    (1e-310, 0.5),           # the quotient overflows to inf
+    (1.0, 2.0**63),          # the first index past int64
+    (1.0, -2.0**63 - 2048),  # the first float index below int64
+])
+def test_voxel_rejects_leaf_whose_indices_overflow_int64(leaf, x):
+    with pytest.raises(DomainError, match="voxel indices overflow int64"):
+        voxel_downsample(make_cloud([[0.0, 0.0, 0.0], [x, 0.0, 0.0]]), leaf)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [2.0**63 - 1024, -2.0**63])  # the float indices at both ends of int64
+def test_voxel_keeps_indices_at_the_ends_of_int64(x):
+    pts = [[x, 0.0, 0.0], [0.25, 0.5, 0.0]]
+    out = voxel_downsample(make_cloud(pts), 1.0).points
+    np.testing.assert_array_equal(out, sorted(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 path-tracking simulator."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from steelnav.drive import (
     TRACE_HEADER,
     DriveGains,
     Pose2D,
+    TraceRow,
     TrackingError,
     error_rate,
     simulate_track,
@@ -279,6 +281,21 @@ def test_simulate_rejects_negative_noise_sigma(sigma):
         simulate_track([Pose2D(1.0, 0.0, 0.0)], noise_sigma=sigma)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (1, "pose components must be finite"),
+    (2, "pose components must be finite"),
+    (3, "pose components must be finite"),
+    (4, "pose components must be finite"),
+    (5, "tracking error components must be finite"),
+])
+def test_simulate_overflowing_noise_raises_the_first_failed_check(seed, message):
+    # Each step checks the measured pose (before its heading is wrapped), then
+    # the tracking error: the seed decides which check an overflow trips first.
+    with pytest.raises(DomainError) as info:
+        simulate_track([Pose2D(1.0, 0.0, 0.0)], noise_sigma=1e308, noise_seed=seed)
+    assert str(info.value) == message
+
+
 def test_simulate_zero_noise_sigma_is_noise_free():
     wp = [Pose2D(1.0, 0.5, 0.0)]
     assert trace_to_csv(simulate_track(wp, noise_sigma=0.0, noise_seed=9)) == trace_to_csv(simulate_track(wp))
@@ -295,6 +312,13 @@ def test_trace_header_and_field_count():
     assert len(lines) == len(result.rows) + 1
     for line in lines[1:]:
         assert len(line.split(",")) == 10
+
+
+def test_trace_header_is_the_row_schema_and_the_readme_columns():
+    assert TRACE_HEADER == ",".join(TraceRow._fields[:10])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    line = next(line for line in readme.splitlines() if line.startswith("`track_trace.csv` columns:"))
+    assert line.split("`")[3] == TRACE_HEADER
 
 
 def test_trace_values_round_trip_at_nine_digits():

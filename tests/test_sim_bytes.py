@@ -1,13 +1,14 @@
 """Identity of the simulators and their CSV writers against plain reference
 versions: the two-loop drive step and the magnet gap step as functions over
-``PIDState`` values, measurement noise drawn one step at a time, the magnet
-state rebuilt with ``dataclasses.replace``, and rows formatted value by value
-with f-strings.  The simulators must match every field of every trace row
-and of the final state, not only the CSV text."""
+``PIDState`` values, measurement noise drawn one step at a time, drive rows
+holding ``Pose2D`` and ``TrackingError`` objects, the magnet state rebuilt
+with ``dataclasses.replace``, and rows formatted value by value with
+f-strings.  The simulators must match every field of every trace row and of
+the final state, not only the CSV text."""
 
 import math
 import struct
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from steelnav.drive import (
     TRACE_HEADER,
     DriveGains,
     Pose2D,
-    TraceRow,
+    TrackingError,
     _reference_poses,
     simulate_track,
     trace_to_csv,
@@ -46,10 +47,28 @@ def reference_drive_step(e, heading_error, gains, dt, position, heading, v_limit
     return min(v, v_limit), omega, position, heading
 
 
-def reference_track(waypoints, noise_sigma, noise_seed, gains=DriveGains(), dt=0.02, v_ref=0.2, horizon=60.0,
-                    accept_radius=0.03):
+@dataclass(frozen=True)
+class NestedRow:
+    """One drive step with the true pose and the tracking error as objects;
+    ``flat`` lists its values in the order of ``TraceRow``'s fields."""
+
+    t: float
+    pose: Pose2D
+    error: TrackingError
+    v: float
+    omega: float
+    waypoint_index: int
+    position_integral: float
+    heading_integral: float
+
+    def flat(self) -> tuple:
+        return (self.t, self.pose.x, self.pose.y, self.pose.phi, self.error.e1, self.error.e2, self.error.e3,
+                self.v, self.omega, self.waypoint_index, self.position_integral, self.heading_integral)
+
+
+def reference_track(waypoints, noise_sigma, noise_seed, start=Pose2D(0.0, 0.0, 0.0), gains=DriveGains(), dt=0.02,
+                    v_ref=0.2, horizon=60.0, accept_radius=0.03):
     """simulate_track's loop with one three-value noise draw per step."""
-    start = Pose2D(0.0, 0.0, 0.0)
     references = _reference_poses(start, waypoints)
     rng = np.random.default_rng(noise_seed)
     pose, rows, wp_index, t = start, [], 0, 0.0
@@ -69,7 +88,7 @@ def reference_track(waypoints, noise_sigma, noise_seed, gains=DriveGains(), dt=0
         bearing = math.atan2(target.y - measured.y, target.x - measured.x)
         heading_error = wrap_angle(bearing - measured.phi)
         v, omega, position, heading = reference_drive_step(e, heading_error, gains, dt, position, heading, v_ref)
-        rows.append(TraceRow(
+        rows.append(NestedRow(
             t=t, pose=pose, error=e, v=v, omega=omega, waypoint_index=wp_index,
             position_integral=position.integral, heading_integral=heading.integral,
         ))
@@ -136,10 +155,15 @@ ROUTE = (Pose2D(0.7, 0.2, 0.0), Pose2D(1.1, 0.8, 0.0), Pose2D(0.5, 1.2, 0.0))
 
 def assert_same_rows(got, want):
     """Row by row, every field bit for bit: a float's repr round-trips, and a
-    numpy scalar where a Python float belongs shows as ``np.float64(...)``."""
+    numpy scalar where a Python float belongs shows as ``np.float64(...)``.
+    A nested drive row is compared through its flat values, and its pose and
+    error objects with the ones that the flat row builds."""
     assert len(got) == len(want)
     for step, (a, b) in enumerate(zip(got, want)):
-        assert (step, repr(a)) == (step, repr(b))
+        if isinstance(b, NestedRow):
+            assert (step, repr(a.pose), repr(a.error)) == (step, repr(b.pose), repr(b.error))
+            b = b.flat()
+        assert (step, repr(tuple(a))) == (step, repr(b))
 
 
 def assert_track_matches_reference(waypoints, sigma, seed, **kwargs):
@@ -178,6 +202,24 @@ def test_track_matches_reference_through_saturation_and_anti_windup():
 def test_track_matches_reference_with_v_ref_below_speed_limit():
     rows = assert_track_matches_reference(ROUTE, 0.002, 9, v_ref=0.1).rows
     assert max(row.v for row in rows) == 0.1 < DriveGains().position.out_limit
+
+
+def test_track_matches_reference_across_the_heading_wrap():
+    start = Pose2D(0.0, 0.0, 3.1)
+    rows = assert_track_matches_reference((Pose2D(-1.0, -0.5, 0.0),), 0.05, 4, start=start).rows
+    # the true heading turns through pi: it jumps from near +pi to near -pi
+    assert any(a.pose.phi > 3.0 and b.pose.phi < -3.0 for a, b in zip(rows, rows[1:]))
+
+
+def test_track_with_its_only_waypoint_already_accepted_takes_no_step():
+    start = Pose2D(0.5, -0.2, 2.0)
+    waypoints = (Pose2D(0.52, -0.2, 0.0),)  # 2 cm away, inside accept_radius
+    result = simulate_track(waypoints, start=start, noise_sigma=0.01, noise_seed=1)
+    assert reference_track(waypoints, 0.01, 1, start=start) == ([], start, 1, 0.0)
+    assert result.rows == ()
+    assert repr(result.final_pose) == repr(start)
+    assert (result.converged, result.waypoints_reached, result.duration) == (True, 1, 0.0)
+    assert trace_to_csv(result) == TRACE_HEADER + "\n"
 
 
 def assert_magnet_matches_reference(left, right, setpoint, plant, **kwargs):
