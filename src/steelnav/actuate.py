@@ -252,7 +252,7 @@ _TRANSITIONS: dict[InchwormPhase, tuple[JumpEvent, InchwormPhase, Optional[Magne
 
 @dataclass(frozen=True)
 class InchwormState:
-    """Jump progress: current phase, both magnet arrays, and the landing pose.
+    """Jump progress: current phase and both magnet arrays.
 
     Constructing a state that has both magnets Untouched outside the two
     wheeled phases is rejected; that configuration has nothing holding the
@@ -262,7 +262,6 @@ class InchwormState:
     phase: InchwormPhase
     magnet1: MagnetArrayState
     magnet2: MagnetArrayState
-    target_pose: Optional[FootPose] = None
 
     def __post_init__(self):
         if self.phase not in WHEELED_PHASES:
@@ -270,13 +269,12 @@ class InchwormState:
                 raise DomainError(f"phase {self.phase.value} requires at least one Touched magnet")
 
 
-def initial_jump_state(target_pose: Optional[FootPose] = None) -> InchwormState:
+def initial_jump_state() -> InchwormState:
     """Jump start: wheeled configuration, both magnets at rolling clearance."""
     return InchwormState(
         phase=InchwormPhase.MOBILE_CONFIG,
         magnet1=MagnetArrayState(mode=MagnetMode.UNTOUCHED),
         magnet2=MagnetArrayState(mode=MagnetMode.UNTOUCHED),
-        target_pose=target_pose,
     )
 
 

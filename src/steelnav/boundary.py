@@ -9,7 +9,6 @@ contains the outermost point along every axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,11 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> Boundary
     Every point lands in exactly one window per axis: index
     ``floor((c - c_min) / slice_width + 0.5)``, i.e. half-open windows of the
     given width centred on a grid anchored at the axis minimum.  Per window
-    the exact farthest pair (O(k^2) over window members) joins the boundary;
-    a single-point window contributes its point.  Duplicates across axes and
-    windows are kept once, in first-seen order (axis-major, window-minor).
+    the exact farthest pair joins the boundary: the first maximum in
+    lexicographic index order, found in O(k^2) time and O(k) memory over the
+    window's k members.  A single-point window contributes its point.
+    Duplicates across axes and windows are kept once, in first-seen order
+    (axis-major, window-minor).
     """
     if slice_width <= 0:
         raise DomainError("slice_width must be positive")
@@ -89,23 +90,22 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> Boundary
 
 
 def _farthest_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact farthest pair of a small point set.
+    """Exact farthest pair of a point set, in O(k^2) time and O(k) memory.
 
-    Ties on squared distance are broken toward the lexicographically smallest
-    (sorted) index pair, so the result does not depend on accidental ordering
-    upstream.
+    Row ``i`` is compared with every later point in one vectorised step; a
+    row's first maximum replaces the best only when strictly larger.  Pairs
+    are thus visited in lexicographic index order and the result is the first
+    maximum in that order: ties on squared distance go to the smallest
+    ``(i, j)``, so the result does not depend on accidental ordering upstream.
     """
-    k = len(points)
-    diffs = points[:, None, :] - points[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-    best = (-1.0, (0, 0))
-    for i in range(k):
-        for j in range(i + 1, k):
-            dist = d2[i, j]
-            if dist > best[0] + 1e-18 or (abs(dist - best[0]) <= 1e-18 and (i, j) < best[1]):
-                best = (dist, (i, j))
-    i, j = best[1]
-    return points[i], points[j]
+    best, best_i, best_j = -1.0, 0, 0
+    for i in range(len(points) - 1):
+        diff = points[i] - points[i + 1:]
+        d2 = np.einsum("jk,jk->j", diff, diff)
+        j = int(d2.argmax())
+        if d2[j] > best:
+            best, best_i, best_j = d2[j], i, i + 1 + j
+    return points[best_i], points[best_j]
 
 
 def directed_hausdorff(from_points: np.ndarray, to_points: np.ndarray) -> float:
@@ -116,12 +116,3 @@ def directed_hausdorff(from_points: np.ndarray, to_points: np.ndarray) -> float:
         raise DomainError("directed Hausdorff distance needs non-empty point sets")
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     return float(d.min(axis=1).max())
-
-
-def max_pairwise_distance(points: np.ndarray) -> float:
-    """Largest pairwise distance in a point set (diagnostic helper)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if len(pts) < 2:
-        return 0.0
-    a, b = _farthest_pair(pts)
-    return float(math.sqrt(((a - b) ** 2).sum()))

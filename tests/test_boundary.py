@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from steelnav import boundary
 from steelnav.boundary import (
     BoundaryEstimate,
+    _farthest_pair,
     directed_hausdorff,
     estimate_boundary,
-    max_pairwise_distance,
 )
-from steelnav.cloud import PlanarPatch, PointCloud
+from steelnav.cloud import PlanarPatch, PointCloud, RigidTransform
 from steelnav.errors import DomainError
+from steelnav.synth import CloudShape, SyntheticCloudSpec, generate_cloud
 
 
 def patch_of(points):
@@ -27,6 +31,25 @@ def grid_patch(nx, ny, pitch=0.01):
     ys = np.arange(ny) * pitch
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     return patch_of(np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)]))
+
+
+def reference_farthest_pair(points):
+    """The earlier k x k x 3 tensor and pair-loop routine, kept as the oracle.
+
+    It visits pairs in lexicographic order and replaces the best only when a
+    pair is more than 1e-18 farther, so it returns the first maximum.
+    """
+    k = len(points)
+    diffs = points[:, None, :] - points[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+    best = (-1.0, (0, 0))
+    for i in range(k):
+        for j in range(i + 1, k):
+            dist = d2[i, j]
+            if dist > best[0] + 1e-18 or (abs(dist - best[0]) <= 1e-18 and (i, j) < best[1]):
+                best = (dist, (i, j))
+    i, j = best[1]
+    return points[i], points[j]
 
 
 def slab_index(coords, width):
@@ -110,7 +133,93 @@ def test_farthest_pair_matches_brute_force():
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             best = max(best, float(np.linalg.norm(pts[i] - pts[j])))
-    assert max_pairwise_distance(pts) == pytest.approx(best, abs=1e-12)
+    a, b = _farthest_pair(pts)
+    assert float(np.linalg.norm(a - b)) == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["level", "tilted"])
+@pytest.mark.parametrize("shape", list(CloudShape), ids=lambda s: s.value)
+def test_farthest_pair_matches_reference_in_every_window(shape, tilted, monkeypatch):
+    windows = []
+
+    def recording(points):
+        got = _farthest_pair(points)
+        windows.append((points, got))
+        return got
+
+    monkeypatch.setattr(boundary, "_farthest_pair", recording)
+    pose = RigidTransform.from_euler_zyx(0.7, 0.5, -0.15) if tilted else RigidTransform.from_euler_zyx(0.7, 0.0, 0.0)
+    dims = {"size_x": 0.30, "size_y": 0.08} if shape is CloudShape.STRIP else {"size_x": 0.20, "size_y": 0.20}
+    for seed in (1, 3, 7919):
+        spec = SyntheticCloudSpec(shape=shape, pitch=0.01, noise_sigma=0.001, outlier_fraction=0.1, pose=pose, **dims)
+        estimate_boundary(patch_of(generate_cloud(spec, seed=seed).points), slice_width=0.02)
+    assert len(windows) > 30
+    for points, (a, b) in windows:
+        ref_a, ref_b = reference_farthest_pair(points)
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+
+
+def test_farthest_pair_tie_on_grid_corners_takes_the_first_diagonal():
+    # noise-free 11 x 11 grid: both diagonals tie exactly, and the first
+    # maximum in (i, j) order is corner 0 with the opposite corner
+    pts = grid_patch(11, 11).inliers.points
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    assert np.count_nonzero(d2 == d2.max()) == 4  # two diagonals, both orders
+    a, b = _farthest_pair(pts)
+    np.testing.assert_array_equal(a, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(b, pts[-1])
+    ref_a, ref_b = reference_farthest_pair(pts)
+    assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+    # reversing the order puts the other end of the same diagonal first
+    a, b = _farthest_pair(pts[::-1].copy())
+    np.testing.assert_array_equal(a, pts[-1])
+    np.testing.assert_array_equal(b, [0.0, 0.0, 0.0])
+
+
+def test_farthest_pair_ties_pick_the_smallest_index_pair():
+    # all duplicates: every pair ties at 0, so rows 0 and 1 win (equal values,
+    # so check which rows the returned views point into)
+    dup = np.array([[0.1, 0.2, 0.3]] * 5)
+    a, b = _farthest_pair(dup)
+    assert np.shares_memory(a, dup[0]) and np.shares_memory(b, dup[1])
+    # square corners in order 0..3: (0, 2) and (1, 3) tie, (0, 2) comes first
+    square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    a, b = _farthest_pair(square)
+    np.testing.assert_array_equal(a, square[0])
+    np.testing.assert_array_equal(b, square[2])
+    # k = 2: the only pair, in input order
+    two = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]])
+    a, b = _farthest_pair(two)
+    np.testing.assert_array_equal(a, two[0])
+    np.testing.assert_array_equal(b, two[1])
+    for pts in (dup, square, two):
+        got, ref = _farthest_pair(pts), reference_farthest_pair(pts)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_farthest_pair_takes_a_pair_one_ulp_farther():
+    # a 2 cm square whose corner 3 sits one ulp higher: diagonal (1, 3) is
+    # one ulp of d2 longer than (0, 2).  The scan has no slack, so the longer
+    # diagonal wins; the reference's 1e-18 slack keeps the first one.
+    s = 0.02
+    square = np.array([[0.0, 0.0, 0.0], [s, 0.0, 0.0], [s, s, 0.0], [0.0, np.nextafter(s, 1.0), 0.0]])
+    a, b = _farthest_pair(square)
+    np.testing.assert_array_equal(a, square[1])
+    np.testing.assert_array_equal(b, square[3])
+    ref_a, _ = reference_farthest_pair(square)
+    np.testing.assert_array_equal(ref_a, square[0])
+
+
+def test_level_plate_window_stays_small_in_memory():
+    # a level 0.6 m plate at 12 mm pitch: all 2601 points share one z-window
+    patch = grid_patch(51, 51, pitch=0.012)
+    tracemalloc.start()
+    try:
+        estimate_boundary(patch, slice_width=0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_estimate_is_deterministic():
