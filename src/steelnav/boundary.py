@@ -44,8 +44,12 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> Boundary
     ``floor((c - c_min) / slice_width + 0.5)``, i.e. half-open windows of the
     given width centred on a grid anchored at the axis minimum.  Per window
     the exact farthest pair joins the boundary: the first maximum in
-    lexicographic index order, found in O(k^2) time and O(k) memory over the
-    window's k members.  A single-point window contributes its point.
+    lexicographic index order.  A window of k members is first pruned in O(k)
+    to the points far enough from its mean to end a farthest pair; the m
+    survivors are then compared pairwise in O(m^2) time and O(k) memory.  The
+    prune never drops an end of a farthest pair, so the pair is the one a full
+    scan finds.  On a plate-like window m is a few dozen at most; on a round
+    one m stays close to k.  A single-point window contributes its point.
     Duplicates across axes and windows are kept once, in first-seen order
     (axis-major, window-minor).
     """
@@ -90,22 +94,59 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> Boundary
 
 
 def _farthest_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact farthest pair of a point set, in O(k^2) time and O(k) memory.
+    """Exact farthest pair of a point set, as two rows of ``points``.
 
-    Row ``i`` is compared with every later point in one vectorised step; a
-    row's first maximum replaces the best only when strictly larger.  Pairs
-    are thus visited in lexicographic index order and the result is the first
-    maximum in that order: ties on squared distance go to the smallest
-    ``(i, j)``, so the result does not depend on accidental ordering upstream.
+    Only the rows that :func:`_diameter_candidates` keeps are scanned, in
+    their original order.  Each is compared with every later one in one
+    vectorised step, and a row's first maximum replaces the best only when
+    strictly larger.  Pairs are thus visited in lexicographic index order and
+    the result is the first maximum in that order: ties on squared distance go
+    to the smallest ``(i, j)``, so the result does not depend on accidental
+    ordering upstream.  The prune keeps both ends of every farthest pair and
+    the scan computes each kept pair's distance as an unpruned scan would, so
+    the result is the same.  Cost: O(k) for the prune, then O(m^2) time and
+    O(k) memory for the m kept rows.
     """
+    keep = _diameter_candidates(points)
+    kept = points[keep]
     best, best_i, best_j = -1.0, 0, 0
-    for i in range(len(points) - 1):
-        diff = points[i] - points[i + 1:]
+    for i in range(len(kept) - 1):
+        diff = kept[i] - kept[i + 1:]
         d2 = np.einsum("jk,jk->j", diff, diff)
         j = int(d2.argmax())
         if d2[j] > best:
             best, best_i, best_j = d2[j], i, i + 1 + j
-    return points[best_i], points[best_j]
+    return points[keep[best_i]], points[keep[best_j]]
+
+
+def _diameter_candidates(points: np.ndarray) -> np.ndarray:
+    """Ascending indices of the points that can end a farthest pair.
+
+    A farthest-from-farthest sweep gives a lower bound ``L`` on the diameter
+    ``D``, and ``R`` is the largest distance from the mean ``c``.  The ends
+    ``p, q`` of a farthest pair satisfy ``D <= |p - c| + |q - c|``, so both
+    lie at ``|p - c| >= D - R >= L - R`` (Preparata & Shamos, *Computational
+    Geometry*, ch. 4).  The computed distances carry a relative error of a
+    few ulp, plus an absolute one below 1e-161 where squares underflow; the
+    margin taken off ``L - R`` is far larger than both, so it can only keep
+    more points.  A bound that is not finite keeps every point.  O(k) time
+    and memory.
+    """
+    diff = points - points.mean(axis=0)
+    r = np.sqrt(np.einsum("jk,jk->j", diff, diff))
+    reach = float(r.max())
+    far = points[int(r.argmax())]
+    lower = 0.0
+    for _ in range(2):
+        diff = points - far
+        d2 = np.einsum("jk,jk->j", diff, diff)
+        j = int(d2.argmax())
+        lower = max(lower, float(np.sqrt(d2[j])))
+        far = points[j]
+    cut = lower - reach - (1e-9 * (lower + reach) + 1e-150)
+    if not np.isfinite(cut):
+        return np.arange(len(points))
+    return np.flatnonzero(r >= cut)
 
 
 def directed_hausdorff(from_points: np.ndarray, to_points: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, Optional, Union
 
 import numpy as np
 
@@ -197,10 +197,20 @@ _HEADER_KEYWORDS = {
     "VERSION", "FIELDS", "SIZE", "TYPE", "COUNT",
     "WIDTH", "HEIGHT", "VIEWPOINT", "POINTS", "DATA",
 }
+# Every byte of a data block that the one-call parse may take
+_DATA_BYTES = b"0123456789+-.eE \n"
 
 
 def load_cloud(path: PathLike) -> PointCloud:
     """Read an ASCII PCD file restricted to plain x y z float fields.
+
+    The file is read once.  Its data block is parsed in one ``np.loadtxt``
+    call when every byte of it is a digit, one of ``+ - . e E``, a space or
+    ``\\n``, and that parse is kept only when it has 3 columns, exactly
+    POINTS rows and finite values.  Any other block (CR line ends, tabs,
+    comments, tokens such as ``1_0`` or ``nan``, a wrong row count) goes
+    through the line parser, which decides the result and is the only
+    source of :class:`ParseError`.
 
     The cloud is tagged with the camera frame.  Raises :class:`ParseError`
     naming the offending line for malformed headers, non-numeric rows,
@@ -208,54 +218,89 @@ def load_cloud(path: PathLike) -> PointCloud:
     Binary DATA is rejected.
     """
     path = Path(path)
-    header: dict[str, list[str]] = {}
-    points: list[tuple[float, float, float]] = []
-    expected: Optional[int] = None
-    in_data = False
-
     with path.open("rb") as fh:
+        data_line_no, expected, block = _read_header(path, fh)
+    rows = _parse_block(block, expected)
+    if rows is None:
+        rows = _parse_rows(path, data_line_no, expected, block)
+    return PointCloud(points=rows, frame_id=Frame.CAMERA)
+
+
+def _read_header(path: Path, fh: BinaryIO) -> tuple[int, int, bytes]:
+    """Validate the header; return the DATA line's number, the POINTS count
+    and the rest of the file, which starts right after the DATA line."""
+    header: dict[str, list[str]] = {}
+    line_no = 0
+    for chunk in fh:
         # splitlines breaks at \n, \r\n and \r, the line ends text mode reads
-        lines = (raw for chunk in fh for raw in chunk.splitlines())
-        for line_no, raw in enumerate(lines, start=1):
-            try:
-                line = raw.decode("ascii").strip()
-            except UnicodeDecodeError:
-                raise ParseError(path, line_no, "non-ASCII byte in line") from None
+        lines = chunk.splitlines(keepends=True)
+        for pos, raw in enumerate(lines):
+            line_no += 1
+            line = _text(path, line_no, raw)
             if not line or line.startswith("#"):
                 continue
-            if not in_data:
-                tokens = line.split()
-                keyword = tokens[0].upper()
-                if keyword not in _HEADER_KEYWORDS:
-                    raise ParseError(path, line_no, f"unknown header keyword {tokens[0]!r}")
-                header[keyword] = tokens[1:]
-                if keyword == "POINTS":
-                    try:
-                        expected = int(tokens[1])
-                    except (IndexError, ValueError):
-                        raise ParseError(path, line_no, "POINTS must carry an integer count")
-                if keyword == "DATA":
-                    _validate_header(path, line_no, header)
-                    in_data = True
-                continue
             tokens = line.split()
-            if len(tokens) != 3:
-                raise ParseError(path, line_no, f"expected 3 values per point row, got {len(tokens)}")
-            try:
-                xyz = (float(tokens[0]), float(tokens[1]), float(tokens[2]))
-            except ValueError:
-                raise ParseError(path, line_no, f"non-numeric point row: {line!r}")
-            if not all(math.isfinite(v) for v in xyz):
-                raise ParseError(path, line_no, "non-finite coordinate in point row")
-            points.append(xyz)
-            if expected is not None and len(points) > expected:
-                raise ParseError(path, line_no, f"more point rows than POINTS {expected}")
+            keyword = tokens[0].upper()
+            if keyword not in _HEADER_KEYWORDS:
+                raise ParseError(path, line_no, f"unknown header keyword {tokens[0]!r}")
+            header[keyword] = tokens[1:]
+            if keyword == "POINTS":
+                try:
+                    expected = int(tokens[1])
+                except (IndexError, ValueError):
+                    raise ParseError(path, line_no, "POINTS must carry an integer count")
+            if keyword == "DATA":
+                _validate_header(path, line_no, header)
+                return line_no, expected, b"".join(lines[pos + 1:]) + fh.read()
+    raise ParseError(path, 1, "missing DATA header line")
 
-    if not in_data:
-        raise ParseError(path, 1, "missing DATA header line")
-    if expected is not None and len(points) != expected:
+
+def _text(path: Path, line_no: int, raw: bytes) -> str:
+    try:
+        return raw.decode("ascii").strip()
+    except UnicodeDecodeError:
+        raise ParseError(path, line_no, "non-ASCII byte in line") from None
+
+
+def _parse_block(block: bytes, expected: int) -> Optional[np.ndarray]:
+    """The data block as an (expected, 3) array from one ``np.loadtxt`` call,
+    or None when the block is not plain space-separated decimals or does not
+    parse to exactly that."""
+    if block.translate(None, _DATA_BYTES) or not block.strip():
+        return None  # an empty block would make loadtxt warn
+    try:
+        # lines are decoded one at a time, so no decoded copy of the block is held
+        rows = np.loadtxt(map(bytes.decode, block.splitlines()), dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (expected, 3) or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _parse_rows(path: Path, data_line_no: int, expected: int, block: bytes) -> np.ndarray:
+    """The data block parsed line by line, raising ParseError on the first
+    bad line."""
+    points: list[tuple[float, float, float]] = []
+    for line_no, raw in enumerate(block.splitlines(), start=data_line_no + 1):
+        line = _text(path, line_no, raw)
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ParseError(path, line_no, f"expected 3 values per point row, got {len(tokens)}")
+        try:
+            xyz = (float(tokens[0]), float(tokens[1]), float(tokens[2]))
+        except ValueError:
+            raise ParseError(path, line_no, f"non-numeric point row: {line!r}")
+        if not all(math.isfinite(v) for v in xyz):
+            raise ParseError(path, line_no, "non-finite coordinate in point row")
+        points.append(xyz)
+        if len(points) > expected:
+            raise ParseError(path, line_no, f"more point rows than POINTS {expected}")
+    if len(points) != expected:
         raise ParseError(path, 0, f"POINTS {expected} but file has {len(points)} point rows")
-    return PointCloud(points=np.array(points, dtype=np.float64).reshape(len(points), 3), frame_id=Frame.CAMERA)
+    return np.array(points, dtype=np.float64).reshape(len(points), 3)
 
 
 def _validate_header(path: Path, line_no: int, header: dict[str, list[str]]) -> None:
@@ -290,9 +335,10 @@ def save_cloud(path: PathLike, cloud: PointCloud) -> None:
         f"POINTS {n}",
         "DATA ascii",
     ]
-    for x, y, z in cloud.points:
-        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with Path(path).open("w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+        # rows stream out one by one: no list of row strings in memory
+        fh.writelines(f"{x!r} {y!r} {z!r}\n" for x, y, z in zip(*cloud.points.T.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +365,10 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     Output points are ordered by voxel index (lexicographic), which makes the
     result independent of input point order.  A leaf so small that a voxel
     index falls outside int64 is rejected.
+
+    ``np.lexsort`` over the three index columns orders the voxels, and
+    ``np.bincount`` sums each axis over a voxel's members in input order,
+    so every centroid has the bits of a point-by-point sum in input order.
     """
     if not leaf > 0:
         raise DomainError("voxel leaf size must be positive")
@@ -329,11 +379,16 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
         lo, hi = np.floor(np.array([cloud.points.min(), cloud.points.max()]) / leaf)
     if not (lo >= -2.0**63 and hi < 2.0**63):
         raise DomainError(f"voxel leaf {leaf:g} m is too small for this cloud: voxel indices overflow int64")
-    keys = np.floor(cloud.points / leaf).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((len(uniq), 3), dtype=np.float64)
-    np.add.at(sums, inverse, cloud.points)
-    counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
+    pts = cloud.points
+    keys = np.floor(pts / leaf).astype(np.int64)
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    starts = np.ones(len(pts), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(pts), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    counts = np.bincount(inverse).astype(np.float64)
+    sums = np.column_stack([np.bincount(inverse, weights=pts[:, axis]) for axis in range(3)])
     return cloud.with_points(sums / counts[:, None])
 
 

@@ -52,6 +52,27 @@ def reference_farthest_pair(points):
     return points[i], points[j]
 
 
+def row_scan_farthest_pair(points):
+    """The unpruned row scan, kept as the oracle of the prune.
+
+    It compares every row with every later one, so it is exact but O(k^2)
+    over the whole window; it returns views of the two winning rows.
+    """
+    best, best_i, best_j = -1.0, 0, 0
+    for i in range(len(points) - 1):
+        diff = points[i] - points[i + 1:]
+        d2 = np.einsum("jk,jk->j", diff, diff)
+        j = int(d2.argmax())
+        if d2[j] > best:
+            best, best_i, best_j = d2[j], i, i + 1 + j
+    return points[best_i], points[best_j]
+
+
+def assert_same_rows(got, want):
+    """Both returned points are the very rows the oracle returned."""
+    assert np.shares_memory(got[0], want[0]) and np.shares_memory(got[1], want[1])
+
+
 def slab_index(coords, width):
     return np.floor((coords - coords.min()) / width + 0.5).astype(np.int64)
 
@@ -157,6 +178,78 @@ def test_farthest_pair_matches_reference_in_every_window(shape, tilted, monkeypa
     for points, (a, b) in windows:
         ref_a, ref_b = reference_farthest_pair(points)
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        assert_same_rows((a, b), row_scan_farthest_pair(points))
+
+
+def _circle(k):
+    t = np.arange(k) * (2 * np.pi / k)
+    return np.column_stack([0.3 + 0.1 * np.cos(t), -0.2 + 0.1 * np.sin(t), np.full(k, 0.05)])
+
+
+_EQUILATERAL = np.eye(3)  # every pair of rows is sqrt(2) apart, exactly
+
+
+# keeps_all: True when nothing may be pruned, False when something must be,
+# None when the bound may go either way
+@pytest.mark.parametrize("points, keeps_all", [
+    (_circle(96), True),  # every point ends a diameter: nothing can be pruned
+    (_EQUILATERAL, True),
+    (np.vstack([_EQUILATERAL, _EQUILATERAL[::-1], _EQUILATERAL]), True),
+    (np.array([[0.1, 0.2, 0.3]] * 7), True),
+    (np.outer(np.random.default_rng(2).uniform(-1, 1, 50), [0.6, -0.8, 0.0]) + [1.0, 2.0, 0.5], False),
+    (np.outer([0.0, 1.0, 0.5, 1.0, 0.0, 0.25], [1.0, 1.0, 1.0]), False),  # collinear, tied ends
+    (np.random.default_rng(3).normal(size=(2, 3)), True),
+    (np.random.default_rng(4).normal(size=(3, 3)), None),
+    (np.random.default_rng(5).normal(size=(40, 3)) * 1e200, True),  # squared distances overflow
+    (np.random.default_rng(6).normal(size=(40, 3)) * 1e-170, True),  # squared distances underflow
+], ids=["circle", "equilateral", "equilateral-repeated", "duplicates", "collinear", "collinear-ties",
+        "k2", "k3", "huge", "tiny"])
+def test_prune_keeps_the_rows_the_full_scan_returns(points, keeps_all):
+    got = _farthest_pair(points)
+    assert_same_rows(got, row_scan_farthest_pair(points))
+    kept = boundary._diameter_candidates(points)
+    assert np.all(np.diff(kept) > 0)
+    if keeps_all is not None:
+        assert (len(kept) == len(points)) is keeps_all
+
+
+def _level_plate_windows(monkeypatch):
+    """Every window estimate_boundary forms on a level 0.8 m plate at 5 mm pitch."""
+    windows = []
+
+    def recording(points):
+        windows.append(points)
+        return _farthest_pair(points)
+
+    monkeypatch.setattr(boundary, "_farthest_pair", recording)
+    estimate_boundary(grid_patch(161, 161, pitch=0.005), slice_width=0.02)
+    return windows
+
+
+def test_prune_is_exact_on_a_level_plate(monkeypatch):
+    windows = _level_plate_windows(monkeypatch)
+    plate = [w for w in windows if len(w) == 161 * 161]
+    assert len(plate) == 1  # the z-window holds the whole plate
+    for points in windows:
+        if len(points) < len(plate[0]):
+            assert_same_rows(_farthest_pair(points), row_scan_farthest_pair(points))
+    # A full scan of the z-window takes seconds.  Its outer ring holds the
+    # plate's convex hull, so every farthest pair, and the ring's own scan
+    # (in the window's row order) returns the same rows.
+    points = plate[0]
+    ring = np.flatnonzero((points[:, :2] == points[:, :2].min(axis=0)).any(axis=1)
+                          | (points[:, :2] == points[:, :2].max(axis=0)).any(axis=1))
+    assert len(ring) == 4 * 160
+    # (grid points are distinct, so each ring row maps back to one row)
+    sub = points[ring]
+    want = [points[ring[(sub == p).all(axis=1)][0]] for p in row_scan_farthest_pair(sub)]
+    assert_same_rows(_farthest_pair(points), want)
+
+
+def test_prune_keeps_under_one_percent_of_a_level_plate(monkeypatch):
+    points = max(_level_plate_windows(monkeypatch), key=len)
+    assert len(points) == 25_921
+    assert len(boundary._diameter_candidates(points)) < 0.01 * len(points)
 
 
 def test_farthest_pair_tie_on_grid_corners_takes_the_first_diagonal():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from steelnav import cloud as cloud_module
 from steelnav.cloud import (
     FilterConfig,
     Frame,
@@ -128,6 +129,33 @@ def test_save_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def reference_save_text(cloud):
+    """The earlier per-row formatter of save_cloud, kept as the oracle."""
+    n = len(cloud)
+    lines = [
+        "# steel-surface point cloud, ascii x/y/z", "VERSION 0.7", "FIELDS x y z", "SIZE 8 8 8",
+        "TYPE F F F", "COUNT 1 1 1", f"WIDTH {n}", "HEIGHT 1", f"POINTS {n}", "DATA ascii",
+    ]
+    for x, y, z in cloud.points:
+        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_save_bytes_match_the_per_row_formatter(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-12, 12, size=(200, 3))
+    pts[:8] = [[-0.0, 1e-05, 5e-324], [1e300, -1e300, 0.0], [0.1, -0.0, 1e-05], [5e-324, -5e-324, 1e300],
+               [2.0**-1074, 1.7976931348623157e308, -1e-07], [1e16, 1e15, 123456789.0], [0.5, 2.5, -3.75],
+               [1 / 3, -2 / 3, 1e-300]]
+    cloud = make_cloud(pts)
+    path = tmp_path / "c.pcd"
+    save_cloud(path, cloud)
+    assert path.read_bytes() == reference_save_text(cloud).encode("ascii")
+    back = load_cloud(path).points
+    assert back.tobytes() == cloud.points.tobytes()  # -0.0 keeps its sign
+
+
 def _write(tmp_path, text):
     path = tmp_path / "bad.pcd"
     path.write_text(text, encoding="ascii")
@@ -205,6 +233,83 @@ def test_missing_data_line_rejected(tmp_path):
         load_cloud(path)
 
 
+def _line_parsed(path, monkeypatch):
+    """load_cloud with the one-call parse turned off: the line parser alone."""
+    with monkeypatch.context() as m:
+        m.setattr(cloud_module, "_parse_block", lambda block, expected: None)
+        return load_cloud(path)
+
+
+def _outcome(load):
+    try:
+        return load().points
+    except ParseError as err:
+        return err.line_no, str(err)
+
+
+def assert_loads_like_the_line_parser(path, monkeypatch):
+    got = _outcome(lambda: load_cloud(path))
+    want = _outcome(lambda: _line_parsed(path, monkeypatch))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes() and got.shape == want.shape
+    return got
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_call_parse_matches_the_line_parser(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 3000))
+    pts = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 8, size=(n, 3))
+    pts[rng.random(size=pts.shape) < 0.05] = -0.0
+    path = tmp_path / "c.pcd"
+    save_cloud(path, make_cloud(pts))
+    got = assert_loads_like_the_line_parser(path, monkeypatch)
+    assert got.tobytes() == pts.tobytes()
+
+
+def test_plain_file_takes_the_one_call_parse(tmp_path, monkeypatch):
+    path = tmp_path / "c.pcd"
+    save_cloud(path, make_cloud(np.random.default_rng(7).normal(size=(50, 3))))
+
+    def no_line_parser(*args):
+        raise AssertionError("the line parser ran on a plain file")
+
+    monkeypatch.setattr(cloud_module, "_parse_rows", no_line_parser)
+    assert len(load_cloud(path)) == 50
+
+
+ROWS = ["0.5 -1 2e-3", "1.25 0 -0.0"]
+
+
+@pytest.mark.parametrize("body", [
+    "1_0 0 0\n" + ROWS[1],
+    "\u0661 0 0\n" + ROWS[1],
+    "nan 0 0\n" + ROWS[1],
+    "1e999 0 0\n" + ROWS[1],
+    "0.5\t-1 2e-3\n" + ROWS[1],
+    "0.5 -1\x0c2e-3\n" + ROWS[1],
+    "0.5 -1\x1c2e-3\n" + ROWS[1],
+    "\r\n".join(ROWS) + "\r\n",
+    "\r".join(ROWS) + "\r",
+    ROWS[0] + "\n# a comment\n" + ROWS[1],
+    ROWS[0] + "\n\n" + ROWS[1],
+    ROWS[0] + "\n0.5 -1\n",
+    ROWS[0] + "\n0.5 -1 2 4\n",
+    "\n".join(ROWS + ROWS[:1]),
+    ROWS[0],
+    "0.5 -1 2e-3 1.25\n0 -0.0 3 4\n",  # 8 values in rows of 4
+    "",
+], ids=["underscore", "arabic-indic-digit", "nan", "overflow", "tab", "form-feed", "file-separator",
+        "crlf", "lone-cr", "comment", "blank-line", "two-tokens", "four-tokens", "too-many-rows",
+        "too-few-rows", "all-rows-of-four", "no-rows"])
+def test_odd_data_blocks_load_like_the_line_parser(tmp_path, monkeypatch, body):
+    path = tmp_path / "odd.pcd"
+    path.write_bytes((GOOD_HEADER + body).encode("utf-8"))
+    assert_loads_like_the_line_parser(path, monkeypatch)
+
+
 # ---------------------------------------------------------------------------
 # filters
 
@@ -234,6 +339,30 @@ def test_passthrough_preserves_order():
     pts = np.array([[0.3, 0, 0], [0.1, 0, 0], [0.2, 0, 0]])
     kept = passthrough(make_cloud(pts), FilterConfig()).points
     np.testing.assert_array_equal(kept, pts)
+
+
+def reference_voxel_downsample(points, leaf):
+    """The earlier np.unique(axis=0) + np.add.at routine, kept as the oracle."""
+    keys = np.floor(points / leaf).astype(np.int64)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros((len(uniq), 3), dtype=np.float64)
+    np.add.at(sums, inverse, points)
+    counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
+    return sums / counts[:, None]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_voxel_bits_match_the_unique_routine(seed):
+    rng = np.random.default_rng(seed)
+    leaf = 0.1  # about 23 points per voxel, so the order of each sum matters
+    pts = rng.uniform(-0.3, 0.3, size=(5000, 3))
+    pts[:500] = np.round(pts[:500] / leaf) * leaf  # on voxel faces
+    pts[500:1000] = pts[rng.integers(1000, 5000, size=500)]  # exact duplicates
+    pts[1000:1100] = -0.0
+    pts = pts[rng.permutation(len(pts))]
+    got = voxel_downsample(make_cloud(pts), leaf).points
+    want = reference_voxel_downsample(pts, leaf)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_voxel_two_close_points_merge_to_midpoint():
