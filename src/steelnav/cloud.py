@@ -213,8 +213,9 @@ def load_cloud(path: PathLike) -> PointCloud:
     source of :class:`ParseError`.
 
     The cloud is tagged with the camera frame.  Raises :class:`ParseError`
-    naming the offending line for malformed headers, non-numeric rows,
-    non-ASCII bytes, and row counts that disagree with the POINTS field.
+    naming the offending line for malformed headers, non-numeric rows
+    (digits grouped with ``_``, as in ``1_0``, included), non-ASCII bytes,
+    and row counts that disagree with the POINTS field.
     Binary DATA is rejected.
     """
     path = Path(path)
@@ -246,6 +247,8 @@ def _read_header(path: Path, fh: BinaryIO) -> tuple[int, int, bytes]:
             header[keyword] = tokens[1:]
             if keyword == "POINTS":
                 try:
+                    if "_" in tokens[1]:  # int() would read 1_000 as 1000
+                        raise ValueError
                     expected = int(tokens[1])
                 except (IndexError, ValueError):
                     raise ParseError(path, line_no, "POINTS must carry an integer count")
@@ -290,6 +293,8 @@ def _parse_rows(path: Path, data_line_no: int, expected: int, block: bytes) -> n
         if len(tokens) != 3:
             raise ParseError(path, line_no, f"expected 3 values per point row, got {len(tokens)}")
         try:
+            if "_" in line:  # float() would read 1_0 as 10.0
+                raise ValueError
             xyz = (float(tokens[0]), float(tokens[1]), float(tokens[2]))
         except ValueError:
             raise ParseError(path, line_no, f"non-numeric point row: {line!r}")
@@ -396,17 +401,31 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
 # Plane detection
 # ---------------------------------------------------------------------------
 
+# Probability that RANSAC draws at least one triple of inliers before it stops
+RANSAC_CONFIDENCE = 0.999
+
 
 def ransac_plane(cloud: PointCloud, cfg: FilterConfig, seed: int) -> Optional[PlanarPatch]:
     """Detect the single largest plane by seeded RANSAC.
 
-    Three-point hypotheses are sampled for ``cfg.ransac_iterations`` rounds;
-    the hypothesis with the most points within ``cfg.ransac_threshold`` wins
-    and is refined by a least-squares refit over its inliers, iterated with
-    membership reselection until the inlier set is stable.  Returns ``None``
-    when the cloud has fewer than 3 points or the best inlier count falls
-    below ``cfg.min_inlier_count``; a missing plane is a decision, not an
-    error.  Identical (cloud, cfg, seed) always produce an identical patch.
+    Three-point hypotheses are drawn in blocks of m = min(32, max(1, 2^18 //
+    n)) rows from one ``rng.integers`` call, so that scoring a block with one
+    ``pts @ normals.T`` keeps that matrix near 2^18 elements.  Rows that
+    repeat an index or span no plane are dropped but count as drawn.  The
+    block's first best hypothesis replaces the best so far only when it has
+    strictly more points within ``cfg.ransac_threshold``.
+
+    After each improvement the draws needed fall to Fischler and Bolles'
+    N = ceil(log(1 - p) / log(1 - w^3)), with p = ``RANSAC_CONFIDENCE`` and w
+    the best inlier share so far; ``cfg.ransac_iterations`` caps N, and no
+    block draws past it.  Drawing stops once N triples have been drawn.
+
+    The winner is refined by a least-squares refit over its inliers,
+    iterated with membership reselection until the inlier set is stable.
+    Returns ``None`` when the cloud has fewer than 3 points or the best
+    inlier count falls below ``cfg.min_inlier_count``; a missing plane is a
+    decision, not an error.  Identical (cloud, cfg, seed) always produce an
+    identical patch.
     """
     n = len(cloud)
     if n < 3:
@@ -414,24 +433,32 @@ def ransac_plane(cloud: PointCloud, cfg: FilterConfig, seed: int) -> Optional[Pl
     pts = cloud.points
     rng = np.random.default_rng(seed)
     threshold = cfg.ransac_threshold
+    block = min(32, max(1, 2**18 // n))
 
     best_count = -1
     best_normal: Optional[np.ndarray] = None
     best_d = 0.0
-    for _ in range(cfg.ransac_iterations):
-        idx = rng.choice(n, size=3, replace=False)
-        p0, p1, p2 = pts[idx]
-        cross = np.cross(p1 - p0, p2 - p0)
-        norm = np.linalg.norm(cross)
-        if norm < 1e-12:
+    drawn, needed = 0, cfg.ransac_iterations
+    while drawn < needed:
+        m = min(block, needed - drawn)
+        drawn += m
+        idx = rng.integers(n, size=(m, 3))
+        idx = idx[(idx[:, 0] != idx[:, 1]) & (idx[:, 1] != idx[:, 2]) & (idx[:, 0] != idx[:, 2])]
+        p0 = pts[idx[:, 0]]
+        cross = np.cross(pts[idx[:, 1]] - p0, pts[idx[:, 2]] - p0)
+        norms = np.linalg.norm(cross, axis=1)
+        keep = norms >= 1e-12
+        if not keep.any():
             continue
-        normal = cross / norm
-        d = -float(normal @ p0)
-        count = int((np.abs(pts @ normal + d) <= threshold).sum())
-        if count > best_count:
-            best_count = count
-            best_normal = normal
-            best_d = d
+        normals = cross[keep] / norms[keep, None]
+        offsets = -np.einsum("ij,ij->i", normals, p0[keep])
+        counts = _inlier_counts(pts, normals, offsets, threshold)
+        top = int(np.argmax(counts))
+        if counts[top] > best_count:
+            best_count = int(counts[top])
+            best_normal = normals[top]
+            best_d = float(offsets[top])
+            needed = _draws_needed(best_count / n, cfg.ransac_iterations)
 
     if best_normal is None or best_count < max(3, cfg.min_inlier_count):
         return None
@@ -459,6 +486,29 @@ def ransac_plane(cloud: PointCloud, cfg: FilterConfig, seed: int) -> Optional[Pl
         centroid=mean,
         plane_coeffs=np.array([normal[0], normal[1], normal[2], d]),
     )
+
+
+def _inlier_counts(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, threshold: float) -> np.ndarray:
+    """Points within ``threshold`` of each plane ``normals[j] @ p + offsets[j] = 0``.
+
+    The distances are one (n, m) matrix, updated in place and freed on return.
+    """
+    dist = pts @ normals.T
+    dist += offsets
+    np.abs(dist, out=dist)
+    return np.count_nonzero(dist <= threshold, axis=0)
+
+
+def _draws_needed(share: float, cap: int) -> int:
+    """Draws after which a triple of inliers has been drawn with probability
+    ``RANSAC_CONFIDENCE`` when ``share`` of the points are inliers (Fischler
+    and Bolles 1981), at most ``cap``."""
+    hit = share**3
+    if hit >= 1.0:
+        return 0
+    if hit <= 0.0:
+        return cap
+    return min(cap, math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-hit)))
 
 
 def _least_squares_plane(points: np.ndarray) -> tuple[np.ndarray, float]:

@@ -2,10 +2,12 @@
 
 Given the estimated boundary of a patch, try to place the robot's
 rectangular foot flat near the patch centroid.  Candidate rectangles hang
-off the boundary points nearest the centroid and extend inward; a candidate
-is accepted when all of its corners and edge midpoints pass an interior test
-against the local boundary distance.  The first accepted candidate yields
-the landing pose.
+off the boundary points nearest the centroid and extend inward; the landing
+pose sits a quarter foot length further inward.  A candidate is accepted
+when all corners and edge midpoints of the rectangle at that pose pass an
+interior test against the local boundary distance, so the verdict is about
+the rectangle the pose describes.  The first accepted candidate yields the
+landing pose.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ class CandidateRectangle:
     Frame columns are (outward axis from the patch center toward the anchor,
     lateral axis, patch normal), right-handed and orthonormal.  The four
     corners run cyclically around the rectangle; midpoints pair consecutive
-    corners.  Corners and midpoints together are the 8 probe points of the
-    interior test.
+    corners.  Corners and midpoints together are the 8 probe points, which
+    :func:`check_placeability` tests a quarter foot length further inward.
     """
 
     anchor: np.ndarray
@@ -185,10 +187,12 @@ def check_placeability(boundary_points, center, normal, geometry: FootGeometry =
     """Decide whether the foot rectangle fits inside the boundary.
 
     The ``candidate_count`` boundary points nearest the patch center are
-    tried in ascending-distance order; the first candidate whose 8 probe
-    points all pass the interior test wins.  Its pose takes the candidate
-    frame as orientation, positioned at the probe centroid pulled a quarter
-    length further inward along the outward axis.  Anchors that leave the
+    tried in ascending-distance order.  Each candidate's pose takes the
+    candidate frame as orientation, positioned at the probe centroid pulled
+    a quarter length further inward along the outward axis.  The 8 probes
+    are moved inward by the same quarter length, so they are the corners and
+    edge midpoints of the rectangle at that pose; the first candidate whose
+    moved probes all pass the interior test wins.  Anchors that leave the
     outward direction undefined are skipped.  Raises a domain error when the
     boundary is too small for the configured counts; returns a rejected
     report when no candidate fits, which is a decision rather than an error.
@@ -209,9 +213,9 @@ def check_placeability(boundary_points, center, normal, geometry: FootGeometry =
         except DegenerateAnchorError:
             continue
         probes = candidate.probes
-        if all(probe_passes(p, center, pts, geometry) for p in probes):
-            e_x = candidate.frame[:, 0]
-            position = probes.mean(axis=0) - 0.25 * geometry.length * e_x
+        inward = 0.25 * geometry.length * candidate.frame[:, 0]
+        if all(probe_passes(p, center, pts, geometry) for p in probes - inward):
+            position = probes.mean(axis=0) - inward
             pose = FootPose(position=position, orientation=candidate.frame)
             return PlacementReport(placeable=True, pose=pose, candidates_tried=tried, accepted_anchor=anchor)
     return PlacementReport(placeable=False, pose=None, candidates_tried=tried, accepted_anchor=None)

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from steelnav.cloud import (
     voxel_downsample,
 )
 from steelnav.errors import DomainError, ParseError
+from steelnav.synth import SyntheticCloudSpec, generate_cloud
 
 
 def make_cloud(points):
@@ -212,6 +216,17 @@ def test_non_numeric_row_rejected(tmp_path):
     with pytest.raises(ParseError) as err:
         load_cloud(path)
     assert "non-numeric" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line_no", [
+    (GOOD_HEADER + "1_0 0 0\n0 0 0\n", 10),
+    (GOOD_HEADER.replace("POINTS 2", "POINTS 1_000") + "0 0 0\n0 0 0\n", 8),
+], ids=["data-row", "points-count"])
+def test_underscore_in_numbers_rejected(tmp_path, text, line_no):
+    # Python's float and int read 1_0 as 10 and 1_000 as 1000
+    with pytest.raises(ParseError) as err:
+        load_cloud(_write(tmp_path, text))
+    assert err.value.line_no == line_no
 
 
 def test_point_count_mismatch_rejected(tmp_path):
@@ -477,8 +492,9 @@ def test_ransac_deterministic_for_fixed_seed():
     cfg = FilterConfig(min_inlier_count=100)
     a = ransac_plane(cloud, cfg, seed=9)
     b = ransac_plane(cloud, cfg, seed=9)
-    np.testing.assert_array_equal(a.inliers.points, b.inliers.points)
-    np.testing.assert_array_equal(a.plane_coeffs, b.plane_coeffs)
+    for field in ("normal", "centroid", "plane_coeffs"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert a.inliers.points.tobytes() == b.inliers.points.tobytes()
 
 
 def test_ransac_returns_none_for_tiny_or_sparse_clouds():
@@ -497,3 +513,79 @@ def test_ransac_refit_is_least_squares_fixpoint():
     _, _, vt = np.linalg.svd(inl - mean, full_matrices=False)
     best = vt[2] / np.linalg.norm(vt[2])
     assert min(np.linalg.norm(patch.normal - best), np.linalg.norm(patch.normal + best)) < 1e-9
+
+
+@pytest.fixture
+def drawn_rows(monkeypatch):
+    """Rows of index triples each ransac_plane call draws, one entry per call."""
+    calls = []
+    make_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = make_rng(seed)
+            calls.append(0)
+
+        def integers(self, n, size):
+            calls[-1] += size[0]
+            return self._rng.integers(n, size=size)
+
+    monkeypatch.setattr(cloud_module.np.random, "default_rng", CountingRng)
+    return calls
+
+
+def test_ransac_stops_early_on_a_clean_plate(drawn_rows):
+    pts = grid_plane(n=31)  # a 0.30 m plate at 1 cm pitch
+    patch = ransac_plane(make_cloud(pts), FilterConfig(), seed=0)
+    assert patch is not None and len(patch.inliers) == len(pts)
+    assert drawn_rows[0] <= 64
+
+
+def test_ransac_draws_the_cap_when_there_is_no_plane(drawn_rows):
+    cube = np.random.Generator(np.random.PCG64(5)).uniform(-0.5, 0.5, size=(1000, 3))  # default_rng is patched
+    assert ransac_plane(make_cloud(cube), FilterConfig(), seed=0) is None
+    assert drawn_rows == [FilterConfig().ransac_iterations]
+
+
+def test_ransac_one_iteration_draws_one_row(drawn_rows):
+    patch = ransac_plane(make_cloud(grid_plane(n=20)), FilterConfig(ransac_iterations=1, min_inlier_count=3), seed=0)
+    assert drawn_rows == [1]
+    assert patch is not None
+
+
+def test_ransac_recovers_noisy_plates_over_many_seeds():
+    # the set-up of acceptance criterion 6, over ten times its seeds
+    spec = SyntheticCloudSpec(size_x=0.30, size_y=0.30, pitch=0.01, noise_sigma=0.001, outlier_fraction=0.2)
+    n_surface = 961
+    cfg = FilterConfig(ransac_threshold=0.005, min_inlier_count=200)
+    for seed in range(200):
+        cloud = generate_cloud(spec, seed=seed)
+        patch = ransac_plane(cloud, cfg, seed=seed)
+        assert patch is not None
+        assert math.degrees(math.acos(min(1.0, abs(float(patch.normal[2]))))) <= 2.0
+        surface = {p.tobytes() for p in cloud.points[:n_surface]}
+        assert sum(p.tobytes() in surface for p in patch.inliers.points) / n_surface >= 0.94
+
+
+@pytest.mark.parametrize("points, planar", [
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], True),
+    ([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], False),
+    ([[0.1 * i, 0.2 * i, 0.0] for i in range(50)], False),
+], ids=["triangle", "three-collinear", "fifty-collinear"])
+def test_ransac_degenerate_clouds_end_in_a_plane_or_none(points, planar):
+    patch = ransac_plane(make_cloud(points), FilterConfig(min_inlier_count=3), seed=0)
+    assert (patch is not None) is planar
+    if planar:
+        assert len(patch.inliers) == 3
+
+
+def test_ransac_memory_stays_bounded_on_a_large_plate():
+    cloud = make_cloud(grid_plane(n=261, pitch=0.001))  # 68k points
+    tracemalloc.start()
+    try:
+        patch = ransac_plane(cloud, FilterConfig(), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert patch is not None
+    assert peak < 8 * 2**20
