@@ -60,27 +60,14 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> Boundary
         raise DomainError("cannot estimate the boundary of an empty patch")
     pts = cloud.points
 
-    selected: list[np.ndarray] = []
-    seen: set[tuple[float, float, float]] = set()
-
-    def _keep(p: np.ndarray) -> None:
-        key = (float(p[0]), float(p[1]), float(p[2]))
-        if key not in seen:
-            seen.add(key)
-            selected.append(p)
-
+    rows: list[np.ndarray] = []
     for axis in range(3):
         coords = pts[:, axis]
-        c_min = float(coords.min())
-        idx = np.floor((coords - c_min) / slice_width + 0.5).astype(np.int64)
-        for slab in np.unique(idx):
-            members = pts[idx == slab]
-            if len(members) == 1:
-                _keep(members[0])
-                continue
-            a, b = _farthest_pair(members)
-            _keep(a)
-            _keep(b)
+        idx = np.floor((coords - coords.min()) / slice_width + 0.5).astype(np.int64)
+        order = np.argsort(idx, kind="stable")
+        starts = np.flatnonzero(np.diff(idx[order])) + 1
+        for members in np.split(pts[order], starts):
+            rows.extend(_farthest_pair(members))
 
     # The farthest pair of an extreme window can still miss the axis-extreme
     # point itself, so pin the global min/max point of every axis explicitly.
@@ -88,9 +75,11 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> Boundary
         for value in (float(pts[:, axis].min()), float(pts[:, axis].max())):
             candidates = pts[pts[:, axis] == value]
             order = np.lexsort((candidates[:, 2], candidates[:, 1], candidates[:, 0]))
-            _keep(candidates[order[0]])
+            rows.append(candidates[order[0]])
 
-    return BoundaryEstimate(points=np.array(selected), slice_width=slice_width, source_patch=patch)
+    rows = np.array(rows)
+    first = np.unique(rows, axis=0, return_index=True)[1]
+    return BoundaryEstimate(points=rows[np.sort(first)], slice_width=slice_width, source_patch=patch)
 
 
 def _farthest_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,13 +125,8 @@ def _diameter_candidates(points: np.ndarray) -> np.ndarray:
     r = np.sqrt(np.einsum("jk,jk->j", diff, diff))
     reach = float(r.max())
     far = points[int(r.argmax())]
-    lower = 0.0
-    for _ in range(2):
-        diff = points - far
-        d2 = np.einsum("jk,jk->j", diff, diff)
-        j = int(d2.argmax())
-        lower = max(lower, float(np.sqrt(d2[j])))
-        far = points[j]
+    diff = points - far
+    lower = float(np.sqrt(np.einsum("jk,jk->j", diff, diff).max()))
     cut = lower - reach - (1e-9 * (lower + reach) + 1e-150)
     if not np.isfinite(cut):
         return np.arange(len(points))

@@ -165,22 +165,29 @@ def build_candidate(anchor, center, normal, geometry: FootGeometry) -> Candidate
     return CandidateRectangle(anchor=a, frame=frame, corners=corners, midpoints=midpoints)
 
 
-def probe_passes(probe, center, boundary_points: np.ndarray, geometry: FootGeometry) -> bool:
-    """Interior test for one probe point.
+def probe_passes(probes, center, boundary_points, geometry: FootGeometry) -> np.ndarray:
+    """Interior test for each of n probe points, as an (n,) bool array.
 
-    ``d_r`` is the probe's distance to the patch center; ``d_q`` is the mean
+    ``d_r`` is a probe's distance to the patch center; ``d_q`` is the mean
     center-distance of the ``neighbor_count`` boundary points nearest the
-    probe.  The probe passes when it sits closer than that local boundary
-    distance, or overshoots it by a relative margin under ``tolerance``.
+    probe, chosen as :func:`closest_points` chooses them.  A probe passes
+    when it sits closer than that local boundary distance, or overshoots it
+    by a relative margin under ``tolerance``.  All probes are judged in one
+    pass: the boundary is sorted lexicographically once, so a stable sort of
+    each probe's distances breaks exact ties in (x, y, z) order.
     """
-    p = np.asarray(probe, dtype=np.float64).reshape(3)
+    p = np.asarray(probes, dtype=np.float64).reshape(-1, 3)
     c = np.asarray(center, dtype=np.float64).reshape(3)
-    d_r = float(np.linalg.norm(p - c))
-    neighbors = closest_points(boundary_points, p, geometry.neighbor_count)
-    d_q = float(np.linalg.norm(neighbors - c, axis=1).mean())
-    if d_r < d_q:
-        return True
-    return d_r > 0 and (d_r - d_q) / d_r < geometry.tolerance
+    rim = np.asarray(boundary_points, dtype=np.float64)
+    rim = rim[np.lexsort((rim[:, 2], rim[:, 1], rim[:, 0]))]
+    d = np.linalg.norm(rim - p[:, None, :], axis=2)
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :geometry.neighbor_count]
+    d_q = np.linalg.norm(rim - c, axis=1)[nearest].mean(axis=1)
+    # a row-wise dot product: the sum np.linalg.norm takes for one vector
+    v = (p - c)[:, None, :]
+    d_r = np.sqrt(v @ v.transpose(0, 2, 1)).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (d_r < d_q) | ((d_r > 0) & ((d_r - d_q) / d_r < geometry.tolerance))
 
 
 def check_placeability(boundary_points, center, normal, geometry: FootGeometry = FootGeometry()) -> PlacementReport:
@@ -214,7 +221,7 @@ def check_placeability(boundary_points, center, normal, geometry: FootGeometry =
             continue
         probes = candidate.probes
         inward = 0.25 * geometry.length * candidate.frame[:, 0]
-        if all(probe_passes(p, center, pts, geometry) for p in probes - inward):
+        if probe_passes(probes - inward, center, pts, geometry).all():
             position = probes.mean(axis=0) - inward
             pose = FootPose(position=position, orientation=candidate.frame)
             return PlacementReport(placeable=True, pose=pose, candidates_tried=tried, accepted_anchor=anchor)
