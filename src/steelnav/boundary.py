@@ -3,8 +3,8 @@
 The patch is sliced into thin windows along each coordinate axis in turn;
 within every window the two mutually farthest points are kept as boundary
 anchors.  Sweeping all three axes traces the patch rim without assuming
-convexity.  Per-axis extremal points are kept as well, so the estimate always
-contains the outermost point along every axis.
+convexity.  The rim is exactly the union of those pairs: an axis's extreme
+point joins it only as an end of its window's farthest pair.
 """
 
 from __future__ import annotations
@@ -42,16 +42,18 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> Boundary
 
     Every point lands in exactly one window per axis: index
     ``floor((c - c_min) / slice_width + 0.5)``, i.e. half-open windows of the
-    given width centred on a grid anchored at the axis minimum.  Per window
-    the exact farthest pair joins the boundary: the first maximum in
-    lexicographic index order.  A window of k members is first pruned in O(k)
-    to the points far enough from its mean to end a farthest pair; the m
-    survivors are then compared pairwise in O(m^2) time and O(k) memory.  The
-    prune never drops an end of a farthest pair, so the pair is the one a full
-    scan finds.  On a plate-like window m is a few dozen at most; on a round
-    one m stays close to k.  A single-point window contributes its point.
-    Duplicates across axes and windows are kept once, in first-seen order
-    (axis-major, window-minor).
+    given width centred on a grid anchored at the axis minimum.  One stable
+    sort per axis yields the windows in ascending order, each holding its
+    members in input order.  Per window the exact farthest pair joins the
+    boundary: the first maximum in lexicographic index order.  A window of k
+    members is first pruned in O(k) to the points far enough from its mean
+    to end a farthest pair; the m survivors are then compared pairwise in
+    O(m^2) time and O(k) memory.  The prune never drops an end of a farthest
+    pair, so the pair is the one a full scan finds.  On a plate-like window m
+    is a few dozen at most; on a round one m stays close to k.  A
+    single-point window contributes its point.
+    Equal rows across axes and windows (``-0.0`` equals ``0.0``) are kept
+    once, in first-seen order (axis-major, window-minor).
     """
     if slice_width <= 0:
         raise DomainError("slice_width must be positive")
@@ -69,17 +71,9 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> Boundary
         for members in np.split(pts[order], starts):
             rows.extend(_farthest_pair(members))
 
-    # The farthest pair of an extreme window can still miss the axis-extreme
-    # point itself, so pin the global min/max point of every axis explicitly.
-    for axis in range(3):
-        for value in (float(pts[:, axis].min()), float(pts[:, axis].max())):
-            candidates = pts[pts[:, axis] == value]
-            order = np.lexsort((candidates[:, 2], candidates[:, 1], candidates[:, 0]))
-            rows.append(candidates[order[0]])
-
-    rows = np.array(rows)
-    first = np.unique(rows, axis=0, return_index=True)[1]
-    return BoundaryEstimate(points=rows[np.sort(first)], slice_width=slice_width, source_patch=patch)
+    rim = np.array(rows)
+    first = np.unique(rim, axis=0, return_index=True)[1]
+    return BoundaryEstimate(points=rim[np.sort(first)], slice_width=slice_width, source_patch=patch)
 
 
 def _farthest_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +105,9 @@ def _farthest_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _diameter_candidates(points: np.ndarray) -> np.ndarray:
     """Ascending indices of the points that can end a farthest pair.
 
-    A farthest-from-farthest sweep gives a lower bound ``L`` on the diameter
-    ``D``, and ``R`` is the largest distance from the mean ``c``.  The ends
+    ``R`` is the largest distance from the mean ``c``, and the distance from
+    the point that attains it to the point farthest from that one is a lower
+    bound ``L`` on the diameter ``D``, as any pair distance is.  The ends
     ``p, q`` of a farthest pair satisfy ``D <= |p - c| + |q - c|``, so both
     lie at ``|p - c| >= D - R >= L - R`` (Preparata & Shamos, *Computational
     Geometry*, ch. 4).  The computed distances carry a relative error of a
@@ -124,8 +119,7 @@ def _diameter_candidates(points: np.ndarray) -> np.ndarray:
     diff = points - points.mean(axis=0)
     r = np.sqrt(np.einsum("jk,jk->j", diff, diff))
     reach = float(r.max())
-    far = points[int(r.argmax())]
-    diff = points - far
+    diff = points - points[int(r.argmax())]
     lower = float(np.sqrt(np.einsum("jk,jk->j", diff, diff).max()))
     cut = lower - reach - (1e-9 * (lower + reach) + 1e-150)
     if not np.isfinite(cut):

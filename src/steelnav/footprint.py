@@ -6,7 +6,8 @@ off the boundary points nearest the centroid and extend inward; the landing
 pose sits a quarter foot length further inward.  A candidate is accepted
 when all corners and edge midpoints of the rectangle at that pose pass an
 interior test against the local boundary distance, so the verdict is about
-the rectangle the pose describes.  The first accepted candidate yields the
+the rectangle the pose describes.  The 8 probes of a candidate are judged
+together, in one array pass.  The first accepted candidate yields the
 landing pose.
 """
 
@@ -165,7 +166,7 @@ def build_candidate(anchor, center, normal, geometry: FootGeometry) -> Candidate
     return CandidateRectangle(anchor=a, frame=frame, corners=corners, midpoints=midpoints)
 
 
-def probe_passes(probes, center, boundary_points, geometry: FootGeometry) -> np.ndarray:
+def probe_passes(probes, center, boundary_points: np.ndarray, geometry: FootGeometry) -> np.ndarray:
     """Interior test for each of n probe points, as an (n,) bool array.
 
     ``d_r`` is a probe's distance to the patch center; ``d_q`` is the mean
@@ -179,13 +180,15 @@ def probe_passes(probes, center, boundary_points, geometry: FootGeometry) -> np.
     p = np.asarray(probes, dtype=np.float64).reshape(-1, 3)
     c = np.asarray(center, dtype=np.float64).reshape(3)
     rim = np.asarray(boundary_points, dtype=np.float64)
+    if rim.ndim != 2 or rim.shape[1] != 3:
+        raise DomainError("boundary_points must form an (M, 3) array")
+    if len(rim) < geometry.neighbor_count:
+        raise DomainError(f"boundary has {len(rim)} points, need {geometry.neighbor_count}")
     rim = rim[np.lexsort((rim[:, 2], rim[:, 1], rim[:, 0]))]
     d = np.linalg.norm(rim - p[:, None, :], axis=2)
     nearest = np.argsort(d, axis=1, kind="stable")[:, :geometry.neighbor_count]
     d_q = np.linalg.norm(rim - c, axis=1)[nearest].mean(axis=1)
-    # a row-wise dot product: the sum np.linalg.norm takes for one vector
-    v = (p - c)[:, None, :]
-    d_r = np.sqrt(v @ v.transpose(0, 2, 1)).reshape(-1)
+    d_r = np.linalg.norm(p - c, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (d_r < d_q) | ((d_r > 0) & ((d_r - d_q) / d_r < geometry.tolerance))
 

@@ -122,29 +122,76 @@ def test_every_point_lands_in_exactly_one_slab_per_axis():
         assert np.all(pts[:, axis] < hi + 1e-12)
 
 
-def test_axis_extreme_points_always_included():
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-0.3, 0.3, size=(200, 3))
-        est = estimate_boundary(patch_of(pts), slice_width=0.04)
-        got = set(map(tuple, est.points))
-        for axis in range(3):
-            lo = pts[pts[:, axis] == pts[:, axis].min()]
-            hi = pts[pts[:, axis] == pts[:, axis].max()]
-            assert any(tuple(p) in got for p in lo)
-            assert any(tuple(p) in got for p in hi)
+def noisy_level_plate(seed):
+    """A level 0.30 x 0.30 m plate centred at the origin: 1 cm pitch, 1 mm noise."""
+    return patch_of(generate_cloud(SyntheticCloudSpec(noise_sigma=0.001), seed=seed).points)
 
 
 def test_rectangle_boundary_hugs_the_rim():
-    patch = grid_patch(31, 31)  # 0.30 x 0.30 square
-    est = estimate_boundary(patch, slice_width=0.02)
-    # no boundary point may sit deep in the interior: every selected point
-    # is within one slab width of the true rim
-    hx = 0.30 / 2
-    center = np.array([0.15, 0.15])
-    for p in est.points:
-        d_edge = hx - np.abs(p[:2] - center).max()
-        assert d_edge <= 0.02 + 1e-12
+    # 0.30 x 0.30 squares, noise-free and noisy: no boundary point may sit
+    # deep in the interior, every selected point is within one slab width of
+    # the true rim.  On a noisy plate the lowest and highest inliers lie
+    # anywhere inside it.
+    plates = [(grid_patch(31, 31), (0.15, 0.15))] + [(noisy_level_plate(seed), (0.0, 0.0)) for seed in range(20)]
+    for patch, center in plates:
+        est = estimate_boundary(patch, slice_width=0.02)
+        d_edge = 0.15 - np.abs(est.points[:, :2] - center).max(axis=1)
+        assert d_edge.max() <= 0.02 + 1e-12
+
+
+def first_seen_rows(rows):
+    """The earlier set-of-tuples dedupe, kept as the oracle of the rim's dedupe.
+
+    A row joins when no equal row came before it; ``-0.0 == 0.0``, so of two
+    rows equal up to the sign of a zero the first one seen is kept.
+    """
+    seen, kept = set(), []
+    for p in rows:
+        key = (float(p[0]), float(p[1]), float(p[2]))
+        if key not in seen:
+            seen.add(key)
+            kept.append(p)
+    return np.array(kept)
+
+
+def recorded_rim(points, monkeypatch, pick=None):
+    """The rim of ``points`` and every row its windows returned, in order.
+
+    ``pick`` stands in for the farthest pair when given.
+    """
+    returned = []
+    pick = pick or _farthest_pair
+
+    def recording(members):
+        pair = pick(members)
+        returned.extend(pair)
+        return pair
+
+    monkeypatch.setattr(boundary, "_farthest_pair", recording)
+    return estimate_boundary(patch_of(points), slice_width=0.02).points, np.array(returned)
+
+
+@pytest.mark.parametrize("seed", [4, 11])
+def test_rim_keeps_each_row_once_in_first_seen_order(seed, monkeypatch):
+    spec = SyntheticCloudSpec(shape=CloudShape.L_SHAPE, noise_sigma=0.001, outlier_fraction=0.1)
+    got, returned = recorded_rim(generate_cloud(spec, seed=seed).points, monkeypatch)
+    assert len(got) < len(returned)
+    np.testing.assert_array_equal(got, first_seen_rows(returned))
+
+
+def test_rim_dedupe_takes_signed_zeros_as_equal(monkeypatch):
+    # a 3 x 3 grid, then the same grid reversed with its zeros signed -0.0.
+    # Each window here returns its last member, then its first: a -0.0 row
+    # and its +0.0 twin, so the -0.0 row is seen first and stays.
+    grid = grid_patch(3, 3).inliers.points
+    points = np.vstack([grid, np.where(grid == 0.0, -0.0, grid)[::-1]])
+    got, returned = recorded_rim(points, monkeypatch, pick=lambda members: (members[-1], members[0]))
+    same_value = (returned[:, None, :] == returned[None, :, :]).all(axis=2)
+    other_sign = (np.signbit(returned)[:, None, :] != np.signbit(returned)[None, :, :]).any(axis=2)
+    assert (same_value & other_sign).any() and np.signbit(got).any()
+    want = first_seen_rows(returned)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_farthest_pair_matches_brute_force():

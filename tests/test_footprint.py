@@ -178,6 +178,61 @@ def test_probe_relative_tolerance_band():
     assert not probe_passes([1.03, 0.0, 0.0], [0.0, 0.0, 0.0], ring, geom)
 
 
+def probe_passes_one(probe, center, boundary_points, geometry):
+    """The earlier one-probe interior test, kept as the oracle of the array test."""
+    p = np.asarray(probe, dtype=np.float64).reshape(3)
+    c = np.asarray(center, dtype=np.float64).reshape(3)
+    d_r = float(np.linalg.norm(p - c))
+    neighbors = closest_points(boundary_points, p, geometry.neighbor_count)
+    d_q = float(np.linalg.norm(neighbors - c, axis=1).mean())
+    if d_r < d_q:
+        return True
+    return d_r > 0 and (d_r - d_q) / d_r < geometry.tolerance
+
+
+def grid_rim(n=9, pitch=0.05):
+    # grid points: many probes sit at exactly equal distances from several
+    # rim points whose centre distances differ
+    xs = pitch * (np.arange(n) - n // 2)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+
+
+@pytest.mark.parametrize("rim, probes, center", [
+    (np.random.default_rng(23).normal(size=(120, 3)) * [0.2, 0.2, 0.002],
+     np.random.default_rng(24).normal(size=(64, 3)) * [0.2, 0.2, 0.002], [0.01, -0.02, 0.0]),
+    (grid_rim(), grid_rim()[::3] + [0.025, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    (grid_rim()[np.random.default_rng(25).permutation(81)], grid_rim()[1::2] * 1.01, [0.05, 0.0, 0.0]),
+    (np.array([[1.5, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 2.0, 0.0], [3.0, 3.0, 0.0]]),
+     np.array([[1.0, 0.0, 0.0]]), [0.0, 0.0, 0.0]),
+    (np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [0.3, 0.3, 0.0]]), np.zeros((2, 3)), [0.0, 0.0, 0.0]),
+], ids=["random", "grid-ties", "grid-ties-shuffled", "tie-decides", "probe-at-center"])
+@pytest.mark.parametrize("neighbors, tolerance", [(1, 0.02), (3, 0.02), (4, 0.3)])
+def test_probe_passes_matches_the_one_probe_test(rim, probes, center, neighbors, tolerance):
+    geom = FootGeometry(tolerance=tolerance, neighbor_count=neighbors)
+    got = probe_passes(probes, center, rim, geom)
+    assert got.shape == (len(probes),)
+    assert got.tolist() == [probe_passes_one(p, center, rim, geom) for p in probes]
+
+
+def test_probe_passes_rejects_a_boundary_too_small_or_misshapen():
+    with pytest.raises(DomainError):
+        probe_passes([[0.0, 0.0, 0.0]], [0.0, 0.0, 0.0], np.eye(3)[:2], FootGeometry(neighbor_count=3))
+    with pytest.raises(DomainError):
+        probe_passes([[0.0, 0.0, 0.0]], [0.0, 0.0, 0.0], np.ones((4, 2)), FootGeometry(neighbor_count=1))
+
+
+def test_exact_distance_tie_goes_to_the_lexicographically_first_rim_point():
+    # (0.5, 0, 0) and (1.5, 0, 0) are both exactly 0.5 from the probe: the
+    # first in (x, y, z) order sits 0.5 from the centre, so the probe at 1.0
+    # fails; the other would let it pass.  Input order must not matter.
+    geom = FootGeometry(neighbor_count=1)
+    rim = np.array([[1.5, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 2.0, 0.0]])
+    for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
+        assert probe_passes([[1.0, 0.0, 0.0]], [0.0, 0.0, 0.0], rim[order], geom).tolist() == [False]
+    assert probe_passes([[1.0, 0.0, 0.0]], [0.0, 0.0, 0.0], rim[[0, 2]], geom).tolist() == [True]
+
+
 def test_square_accepts_foot():
     patch = square_patch()
     report = place_on(patch)
