@@ -37,11 +37,6 @@ class MagnetMode(str, Enum):
     UNTOUCHED = "Untouched"
 
 
-def mode_setpoint(mode: MagnetMode) -> float:
-    """Gap target in millimeters for a magnet mode."""
-    return TOUCHED_GAP_MM if mode is MagnetMode.TOUCHED else UNTOUCHED_GAP_MM
-
-
 @dataclass(frozen=True, slots=True)
 class MagnetArrayState:
     """One foot's magnet array: commanded mode, sensed gaps, drive state.
@@ -64,15 +59,6 @@ class MagnetArrayState:
         if self.gap_left < 0 or self.gap_right < 0:
             raise DomainError("magnet gaps cannot be negative")
         _check_command(self.command)
-
-    @property
-    def mean_gap(self) -> float:
-        return 0.5 * (self.gap_left + self.gap_right)
-
-    def is_settled(self, tolerance: float = SETTLE_TOLERANCE_MM) -> bool:
-        """Both gaps within ``tolerance`` of the mode target."""
-        target = mode_setpoint(self.mode)
-        return abs(self.gap_left - target) < tolerance and abs(self.gap_right - target) < tolerance
 
 
 @dataclass(frozen=True)
@@ -136,16 +122,30 @@ class MagnetTrace:
         return self.settle_time is not None
 
 
+@dataclass(frozen=True)
+class MagnetSimConfig:
+    """Magnet gap-control simulation setup, one field per argument of
+    :func:`simulate_magnet`; its keyword defaults are read from here."""
+
+    gains: PIDGains = DEFAULT_MAGNET_GAINS
+    plant: MagnetPlant = MagnetPlant()
+    trim_gain: float = 0.5
+    dt: float = 0.005
+    duration: float = 2.0
+    setpoint: float = UNTOUCHED_GAP_MM
+    initial_left: float = 3.0
+    initial_right: float = 3.0
+
+
 def simulate_magnet(
     initial_left: float,
     initial_right: float,
     setpoint: float,
-    gains: PIDGains = DEFAULT_MAGNET_GAINS,
-    plant: MagnetPlant = MagnetPlant(),
-    dt: float = 0.005,
-    duration: float = 2.0,
-    trim_gain: float = 0.5,
-    tolerance: float = SETTLE_TOLERANCE_MM,
+    gains: PIDGains = MagnetSimConfig.gains,
+    plant: MagnetPlant = MagnetSimConfig.plant,
+    dt: float = MagnetSimConfig.dt,
+    duration: float = MagnetSimConfig.duration,
+    trim_gain: float = MagnetSimConfig.trim_gain,
 ) -> MagnetTrace:
     """Run the gap loop from given initial gaps for ``duration`` seconds.
 
@@ -185,7 +185,7 @@ def simulate_magnet(
 
     settle_time: Optional[float] = None
     for row in reversed(rows):
-        if abs(row[1] - setpoint) < tolerance and abs(row[2] - setpoint) < tolerance:
+        if abs(row[1] - setpoint) < SETTLE_TOLERANCE_MM and abs(row[2] - setpoint) < SETTLE_TOLERANCE_MM:
             settle_time = row[0]
         else:
             break

@@ -16,28 +16,26 @@ import numpy as np
 from .cloud import PlanarPatch, PointCloud, frozen_array
 from .errors import DomainError
 
+DEFAULT_SLICE_WIDTH = 0.02  # meters
+
 
 @dataclass(frozen=True, eq=False)
 class BoundaryEstimate:
-    """Boundary anchors of a patch plus the slab width that produced them."""
+    """Boundary anchors of a patch."""
 
     points: np.ndarray
-    slice_width: float
-    source_patch: PlanarPatch
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise DomainError("boundary points must form an (M, 3) array")
         object.__setattr__(self, "points", frozen_array(pts))
-        if self.slice_width <= 0:
-            raise DomainError("slice_width must be positive")
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
-def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> BoundaryEstimate:
+def estimate_boundary(patch: PlanarPatch, slice_width: float = DEFAULT_SLICE_WIDTH) -> BoundaryEstimate:
     """Estimate the non-convex boundary of ``patch``.
 
     Every point lands in exactly one window per axis: index
@@ -73,7 +71,7 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = 0.02) -> Boundary
 
     rim = np.array(rows)
     first = np.unique(rim, axis=0, return_index=True)[1]
-    return BoundaryEstimate(points=rim[np.sort(first)], slice_width=slice_width, source_patch=patch)
+    return BoundaryEstimate(points=rim[np.sort(first)])
 
 
 def _farthest_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

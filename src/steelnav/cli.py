@@ -2,9 +2,10 @@
 
 Subcommands: ``gen`` (synthetic cloud files), ``decide`` (cloud to
 transformation decision), ``simulate track|magnet|jump`` (closed-loop
-traces), ``batch`` (decide over a directory).  ``decide`` exits 0 for
-Mobile and 10 for InchWorm so shell automation can branch on the mode
-without parsing JSON; all commands exit 2 on any error.
+traces), ``batch`` (decide over a directory).  Every command exits 0 on
+success, except that ``decide`` exits 10 for InchWorm, so shell automation
+can branch on the mode without parsing JSON; all commands exit 2 on any
+error.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from pathlib import Path
 from typing import Optional
 
 from .actuate import (
-    CANONICAL_JUMP_SEQUENCE,
-    JumpEvent,
     initial_jump_state,
     jump_trace_to_jsonl,
     magnet_trace_to_csv,
@@ -33,7 +32,6 @@ from .switching import SwitchDecision, Transformation, decide, decision_to_json
 from .synth import CloudShape, SyntheticCloudSpec, generate_cloud
 
 EXIT_MOBILE = 0
-EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_INCH_WORM = 10
 
@@ -153,7 +151,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
     save_cloud(out, cloud)
     print(f"wrote {out} points={len(cloud)}")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
@@ -176,47 +174,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
 
     if args.simulator == "track":
-        d = cfg.drive
-        result = simulate_track(
-            d.waypoints, start=d.start, gains=d.gains, dt=d.dt, v_ref=d.v_ref,
-            horizon=d.horizon, accept_radius=d.accept_radius,
-            noise_sigma=d.noise_sigma, noise_seed=cfg.seed,
-        )
+        result = simulate_track(**vars(cfg.drive), noise_seed=cfg.seed)
         (out / "track_trace.csv").write_text(trace_to_csv(result), encoding="ascii")
         final_err = result.rows[-1].error.distance if result.rows else 0.0
         print(
             f"converged={str(result.converged).lower()} "
-            f"waypoints={result.waypoints_reached}/{len(d.waypoints)} "
+            f"waypoints={result.waypoints_reached}/{len(cfg.drive.waypoints)} "
             f"steps={len(result.rows)} final_error={final_err:.9g}"
         )
-        return EXIT_OK
+        return 0
 
     if args.simulator == "magnet":
-        mg = cfg.magnet
-        trace = simulate_magnet(
-            mg.initial_left, mg.initial_right, mg.setpoint,
-            gains=mg.gains, plant=mg.plant, dt=mg.dt, duration=mg.duration,
-            trim_gain=mg.trim_gain,
-        )
+        trace = simulate_magnet(**vars(cfg.magnet))
         (out / "magnet_trace.csv").write_text(magnet_trace_to_csv(trace), encoding="ascii")
         final = trace.final_state
-        final_err = max(abs(final.gap_left - mg.setpoint), abs(final.gap_right - mg.setpoint))
+        final_err = max(abs(final.gap_left - trace.setpoint), abs(final.gap_right - trace.setpoint))
         settle = f"{trace.settle_time:.9g}" if trace.settle_time is not None else "never"
         print(
             f"settled={str(trace.settled).lower()} settle_time={settle} "
             f"steps={len(trace.rows)} final_error_mm={final_err:.9g}"
         )
-        return EXIT_OK
+        return 0
 
     jp = cfg.jump
-    if jp.events is None:
-        events = list(CANONICAL_JUMP_SEQUENCE)
-    else:
-        try:
-            events = [JumpEvent(name) for name in jp.events]
-        except ValueError as exc:
-            raise NavError(f"unknown jump event in config: {exc}")
-    state, rows = run_jump_sequence(initial_jump_state(), events)
+    state, rows = run_jump_sequence(initial_jump_state(), jp.events)
     (out / "jump_trace.jsonl").write_text(jump_trace_to_jsonl(rows), encoding="ascii")
     path = plan_jump_trajectory(jp.start_joints, None, jp.plan, jp.steps)
     (out / "jump_trajectory.csv").write_text(trajectory_to_csv(path), encoding="ascii")
@@ -225,7 +206,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"final_phase={state.phase.value} accepted={accepted}/{len(rows)} "
         f"trajectory_rows={len(path)}"
     )
-    return EXIT_OK
+    return 0
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -241,7 +222,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         decision = _decide(cfg, path)
         (out / f"{path.stem}.json").write_text(decision_to_json(decision) + "\n", encoding="utf-8")
         print(f"{path.name} {decision.transformation.value}")
-    return EXIT_OK
+    return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -8,6 +8,7 @@ its inputs; plane detection takes an explicit seed and is deterministic.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -272,8 +273,7 @@ def _parse_block(block: bytes, expected: int) -> Optional[np.ndarray]:
     if block.translate(None, _DATA_BYTES) or not block.strip():
         return None  # an empty block would make loadtxt warn
     try:
-        # lines are decoded one at a time, so no decoded copy of the block is held
-        rows = np.loadtxt(map(bytes.decode, block.splitlines()), dtype=np.float64, ndmin=2)
+        rows = np.loadtxt(io.BytesIO(block), dtype=np.float64, ndmin=2)
     except ValueError:
         return None
     if rows.shape != (expected, 3) or not np.isfinite(rows).all():

@@ -5,8 +5,11 @@ with the package defaults filled in, unknown sections or keys rejected so
 typos fail loudly.  Command-line flags override file values.
 
 ``TABLE`` is the one list of settable values: it maps each (section, key)
-to the field it sets in :class:`RunConfig` and the parser of its text.  The
-defaults live only in the dataclasses below and in the types they nest.
+to the field it sets in :class:`RunConfig` and the parser of its text.  Each
+default is written once, in the module whose code uses it: the simulator
+setups :class:`DriveSimConfig` and :class:`MagnetSimConfig` live beside
+their simulators, the slice width in :mod:`steelnav.boundary`, and the other
+values in the dataclasses that :class:`RunConfig` nests.
 """
 
 from __future__ import annotations
@@ -20,41 +23,13 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .actuate import DEFAULT_JOINT_LIMITS, DEFAULT_MAGNET_GAINS, JumpPlanConfig, MagnetPlant
+from .actuate import CANONICAL_JUMP_SEQUENCE, DEFAULT_JOINT_LIMITS, JumpEvent, JumpPlanConfig, MagnetSimConfig
+from .boundary import DEFAULT_SLICE_WIDTH
 from .cloud import FilterConfig, RigidTransform
-from .drive import DriveGains, Pose2D
+from .drive import DriveSimConfig, Pose2D
 from .errors import ConfigError
 from .footprint import FootGeometry
-from .pid import PIDGains
 from .switching import HeightConfig
-
-
-@dataclass(frozen=True)
-class DriveSimConfig:
-    """Path-tracking simulation setup."""
-
-    gains: DriveGains = DriveGains()
-    dt: float = 0.02
-    v_ref: float = 0.2
-    horizon: float = 60.0
-    accept_radius: float = 0.03
-    noise_sigma: float = 0.0
-    start: Pose2D = Pose2D(0.0, 0.0, 0.0)
-    waypoints: tuple[Pose2D, ...] = (Pose2D(2.0, 0.0, 0.0),)
-
-
-@dataclass(frozen=True)
-class MagnetSimConfig:
-    """Magnet gap-control simulation setup."""
-
-    gains: PIDGains = DEFAULT_MAGNET_GAINS
-    plant: MagnetPlant = MagnetPlant()
-    trim_gain: float = 0.5
-    dt: float = 0.005
-    duration: float = 2.0
-    setpoint: float = 1.0
-    initial_left: float = 3.0
-    initial_right: float = 3.0
 
 
 def _default_jump_plan() -> JumpPlanConfig:
@@ -72,7 +47,7 @@ class JumpSimConfig:
     plan: JumpPlanConfig = field(default_factory=_default_jump_plan)
     start_joints: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     steps: int = 10
-    events: Optional[tuple[str, ...]] = None
+    events: tuple[JumpEvent, ...] = CANONICAL_JUMP_SEQUENCE
 
 
 @dataclass(frozen=True)
@@ -80,7 +55,7 @@ class RunConfig:
     """Everything a command needs, bundled."""
 
     filter: FilterConfig = FilterConfig()
-    slice_width: float = 0.02
+    slice_width: float = DEFAULT_SLICE_WIDTH
     foot: FootGeometry = FootGeometry()
     height: HeightConfig = HeightConfig()
     drive: DriveSimConfig = DriveSimConfig()
@@ -139,8 +114,14 @@ def _poses(where: str, text: str) -> tuple[Pose2D, ...]:
     return tuple(out)
 
 
-def _words(where: str, text: str) -> tuple[str, ...]:
-    return tuple(text.replace(",", " ").split())
+def _events(where: str, text: str) -> tuple[JumpEvent, ...]:
+    events = []
+    for name in text.replace(",", " ").split():
+        try:
+            events.append(JumpEvent(name))
+        except ValueError:
+            raise ConfigError(f"{where}: unknown jump event {name!r}")
+    return tuple(events)
 
 
 # (section, key) -> (field path in RunConfig, parser).  A path step is a
@@ -209,7 +190,7 @@ TABLE: dict[tuple[str, str], tuple[tuple, Callable]] = {
     ("jump", "limits_high"): (("jump", "plan", "joint_limits", np.s_[..., 1]), _vector(6)),
     ("jump", "start"): (("jump", "start_joints"), _vector(6)),
     ("jump", "steps"): (("jump", "steps"), _integer),
-    ("jump", "events"): (("jump", "events"), _words),
+    ("jump", "events"): (("jump", "events"), _events),
     ("run", "seed"): (("seed",), _integer),
 }
 

@@ -166,15 +166,31 @@ class TrackResult:
     duration: float
 
 
+@dataclass(frozen=True)
+class DriveSimConfig:
+    """Path-tracking simulation setup, one field per argument of
+    :func:`simulate_track` but the noise seed; its keyword defaults are read
+    from here."""
+
+    gains: DriveGains = DriveGains()
+    dt: float = 0.02
+    v_ref: float = 0.2
+    horizon: float = 60.0
+    accept_radius: float = 0.03
+    noise_sigma: float = 0.0
+    start: Pose2D = Pose2D(0.0, 0.0, 0.0)
+    waypoints: tuple[Pose2D, ...] = (Pose2D(2.0, 0.0, 0.0),)
+
+
 def simulate_track(
     waypoints: Sequence[Pose2D],
-    start: Pose2D = Pose2D(0.0, 0.0, 0.0),
-    gains: DriveGains = DriveGains(),
-    dt: float = 0.02,
-    v_ref: float = 0.2,
-    horizon: float = 60.0,
-    accept_radius: float = 0.03,
-    noise_sigma: float = 0.0,
+    start: Pose2D = DriveSimConfig.start,
+    gains: DriveGains = DriveSimConfig.gains,
+    dt: float = DriveSimConfig.dt,
+    v_ref: float = DriveSimConfig.v_ref,
+    horizon: float = DriveSimConfig.horizon,
+    accept_radius: float = DriveSimConfig.accept_radius,
+    noise_sigma: float = DriveSimConfig.noise_sigma,
     noise_seed: int = 0,
 ) -> TrackResult:
     """Drive the simulated robot through the waypoints.

@@ -52,7 +52,7 @@ class FootGeometry:
 
 @dataclass(frozen=True, eq=False)
 class CandidateRectangle:
-    """One candidate foot placement: anchor, frame, corners, edge midpoints.
+    """One candidate foot placement: frame, corners, edge midpoints.
 
     Frame columns are (outward axis from the patch center toward the anchor,
     lateral axis, patch normal), right-handed and orthonormal.  The four
@@ -61,13 +61,12 @@ class CandidateRectangle:
     :func:`check_placeability` tests a quarter foot length further inward.
     """
 
-    anchor: np.ndarray
     frame: np.ndarray
     corners: np.ndarray
     midpoints: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("anchor", 3), ("frame", (3, 3)), ("corners", (4, 3)), ("midpoints", (4, 3))):
+        for name, shape in (("frame", (3, 3)), ("corners", (4, 3)), ("midpoints", (4, 3))):
             object.__setattr__(self, name, frozen_array(getattr(self, name), shape))
         check_rotation(self.frame, "candidate frame")
 
@@ -163,7 +162,7 @@ def build_candidate(anchor, center, normal, geometry: FootGeometry) -> Candidate
     r4 = r1 - geometry.length * e_x
     corners = np.array([r1, r2, r3, r4])
     midpoints = 0.5 * (corners + np.roll(corners, -1, axis=0))
-    return CandidateRectangle(anchor=a, frame=frame, corners=corners, midpoints=midpoints)
+    return CandidateRectangle(frame=frame, corners=corners, midpoints=midpoints)
 
 
 def probe_passes(probes, center, boundary_points: np.ndarray, geometry: FootGeometry) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import estimate_boundary
+from .boundary import DEFAULT_SLICE_WIDTH, estimate_boundary
 from .cloud import FilterConfig, PlanarPatch, PointCloud, RigidTransform, passthrough, ransac_plane, voxel_downsample
 from .errors import DomainError
 from .footprint import FootGeometry, FootPose, check_placeability
@@ -115,7 +115,7 @@ def switching_function(plane_ok: bool, area_ok: bool, height_ok: bool) -> tuple[
 def decide(
     cloud: PointCloud,
     filter_cfg: FilterConfig = FilterConfig(),
-    slice_width: float = 0.02,
+    slice_width: float = DEFAULT_SLICE_WIDTH,
     foot: FootGeometry = FootGeometry(),
     height_cfg: HeightConfig = HeightConfig(),
     seed: int = 0,

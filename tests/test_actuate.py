@@ -28,7 +28,6 @@ from steelnav.actuate import (
     inchworm_step,
     jump_trace_to_jsonl,
     magnet_trace_to_csv,
-    mode_setpoint,
     plan_jump_trajectory,
     run_jump_sequence,
     simulate_magnet,
@@ -41,8 +40,6 @@ from steelnav.errors import DomainError, TrajectoryError, TransitionError
 
 
 def test_mode_setpoints():
-    assert mode_setpoint(MagnetMode.TOUCHED) == 0.0
-    assert mode_setpoint(MagnetMode.UNTOUCHED) == 1.0
     assert TOUCHED_GAP_MM == 0.0
     assert UNTOUCHED_GAP_MM == 1.0
 
@@ -54,14 +51,6 @@ def test_magnet_state_validation():
         MagnetArrayState(gap_right=-0.1)
     with pytest.raises(DomainError):
         MagnetArrayState(command=1.5)
-
-
-def test_magnet_state_mean_and_settled():
-    state = MagnetArrayState(mode=MagnetMode.UNTOUCHED, gap_left=0.98, gap_right=1.04)
-    assert state.mean_gap == pytest.approx(1.01)
-    assert state.is_settled() is True
-    wide = MagnetArrayState(mode=MagnetMode.UNTOUCHED, gap_left=0.98, gap_right=1.06)
-    assert wide.is_settled() is False
 
 
 def test_magnet_plant_validation():
@@ -115,7 +104,8 @@ def test_magnet_release_to_rolling_clearance_settles():
     trace = simulate_magnet(0.0, 0.0, UNTOUCHED_GAP_MM)
     assert trace.settled
     assert trace.settle_time <= 2.0
-    assert abs(trace.final_state.mean_gap - 1.0) < SETTLE_TOLERANCE_MM
+    assert abs(trace.final_state.gap_left - 1.0) < SETTLE_TOLERANCE_MM
+    assert abs(trace.final_state.gap_right - 1.0) < SETTLE_TOLERANCE_MM
 
 
 def test_magnet_asymmetric_start_levels_out():

@@ -5,7 +5,6 @@ import pytest
 
 from steelnav import boundary
 from steelnav.boundary import (
-    BoundaryEstimate,
     _farthest_pair,
     directed_hausdorff,
     estimate_boundary,
@@ -386,7 +385,7 @@ def test_bad_slice_width_rejected():
     with pytest.raises(DomainError):
         estimate_boundary(patch, 0.0)
     with pytest.raises(DomainError):
-        BoundaryEstimate(points=np.zeros((1, 3)), slice_width=-1.0, source_patch=patch)
+        estimate_boundary(patch, -1.0)
 
 
 def test_directed_hausdorff_oracle():

@@ -2,16 +2,17 @@
 
 import configparser
 import dataclasses
+import inspect
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steelnav.actuate import CANONICAL_JUMP_SEQUENCE
+from steelnav.actuate import CANONICAL_JUMP_SEQUENCE, JumpEvent, simulate_magnet
 from steelnav.cloud import RigidTransform
 from steelnav.config import TABLE, DriveSimConfig, JumpSimConfig, MagnetSimConfig, RunConfig, load_config
-from steelnav.drive import Pose2D
+from steelnav.drive import Pose2D, simulate_track
 from steelnav.errors import ConfigError
 
 
@@ -47,7 +48,7 @@ def test_empty_file_equals_defaults(tmp_path):
     assert cfg.height.base_height == dflt.height.base_height
     assert cfg.height.tolerance == dflt.height.tolerance
     assert cfg.jump.steps == dflt.jump.steps
-    assert cfg.jump.events is None
+    assert cfg.jump.events == CANONICAL_JUMP_SEQUENCE
     assert cfg.seed == dflt.seed
 
 
@@ -183,8 +184,14 @@ def test_malformed_ini_rejected(tmp_path):
 def test_jump_events_parse_as_words(tmp_path):
     path = write(tmp_path, "[jump]\nevents = LowerBaseMagnet ReachConvenientPose\n")
     cfg = load_config(path)
-    assert cfg.jump.events == ("LowerBaseMagnet", "ReachConvenientPose")
-    assert load_config(None).jump.events is None
+    assert cfg.jump.events == (JumpEvent.LOWER_BASE_MAGNET, JumpEvent.REACH_CONVENIENT_POSE)
+    assert load_config(None).jump.events is CANONICAL_JUMP_SEQUENCE
+
+
+def test_unknown_jump_event_rejected_at_load(tmp_path):
+    path = write(tmp_path, "[jump]\nevents = LowerBaseMagnet Fly\n")
+    with pytest.raises(ConfigError, match=r"\[jump\] events: unknown jump event 'Fly'"):
+        load_config(path)
 
 
 def test_sim_config_defaults():
@@ -196,6 +203,22 @@ def test_sim_config_defaults():
     jump = JumpSimConfig()
     assert jump.steps == 10
     assert len(tuple(jump.start_joints)) == 6
+
+
+@pytest.mark.parametrize("config, simulate, required", [
+    (DriveSimConfig, simulate_track, {"waypoints"}),
+    (MagnetSimConfig, simulate_magnet, {"initial_left", "initial_right", "setpoint"}),
+], ids=["drive", "magnet"])
+def test_sim_config_fields_are_the_simulator_defaults(config, simulate, required):
+    # each default is written once: the simulator's keyword defaults are the config's own objects
+    params = inspect.signature(simulate).parameters
+    for f in dataclasses.fields(config):
+        assert f.name in params
+        default = params[f.name].default
+        if f.name in required:
+            assert default is inspect.Parameter.empty
+        else:
+            assert default is f.default, f.name
 
 
 # (section, key, a valid non-default value, the RunConfig field it sets)
@@ -349,8 +372,6 @@ def test_readme_config_block_shows_every_key_at_its_default():
     parser.read_string(block)
     shown = {(section, key): text for section in parser.sections() for key, text in parser[section].items()}
     assert sorted(shown) == sorted(TABLE)
-    # the events default (None) runs the canonical sequence, which the block spells out
-    assert shown.pop(("jump", "events")).split() == [e.value for e in CANONICAL_JUMP_SEQUENCE]
     cfg, dflt = load_config(None, shown), RunConfig()
     assert changed_fields(dflt, cfg) <= {"jump.plan.joint_limits"}  # pi is shown to 5 decimals
     np.testing.assert_allclose(cfg.jump.plan.joint_limits, dflt.jump.plan.joint_limits, rtol=0, atol=1e-5)

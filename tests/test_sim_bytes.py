@@ -114,7 +114,7 @@ def reference_magnet_step(state, setpoint, gains, plant, dt, trim_gain):
     """One gap control step; the rebuilt state checks the gaps and the command."""
     if setpoint < 0:
         raise DomainError("gap setpoint cannot be negative")
-    command, controller = pid_step(setpoint - state.mean_gap, gains, dt, state.controller)
+    command, controller = pid_step(setpoint - 0.5 * (state.gap_left + state.gap_right), gains, dt, state.controller)
     trim = trim_gain * (state.gap_left - state.gap_right)
     gap_l, rate_l = _plant_side(state.gap_left, state.rate_left, max(-1.0, min(1.0, command - trim)), plant, dt)
     gap_r, rate_r = _plant_side(state.gap_right, state.rate_right, max(-1.0, min(1.0, command + trim)), plant, dt)
