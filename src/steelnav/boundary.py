@@ -5,6 +5,9 @@ within every window the two mutually farthest points are kept as boundary
 anchors.  Sweeping all three axes traces the patch rim without assuming
 convexity.  The rim is exactly the union of those pairs: an axis's extreme
 point joins it only as an end of its window's farthest pair.
+
+All windows of all three axes go through a few flat array passes, in chunks of
+bounded memory; each window's pair is bit for bit a row-by-row scan's.
 """
 
 from __future__ import annotations
@@ -42,16 +45,14 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = DEFAULT_SLICE_WID
     ``floor((c - c_min) / slice_width + 0.5)``, i.e. half-open windows of the
     given width centred on a grid anchored at the axis minimum.  One stable
     sort per axis yields the windows in ascending order, each holding its
-    members in input order.  Per window the exact farthest pair joins the
-    boundary: the first maximum in lexicographic index order.  A window of k
-    members is first pruned in O(k) to the points far enough from its mean
-    to end a farthest pair; the m survivors are then compared pairwise in
-    O(m^2) time and O(k) memory.  The prune never drops an end of a farthest
-    pair, so the pair is the one a full scan finds.  On a plate-like window m
-    is a few dozen at most; on a round one m stays close to k.  A
-    single-point window contributes its point.
-    Equal rows across axes and windows (``-0.0`` equals ``0.0``) are kept
-    once, in first-seen order (axis-major, window-minor).
+    members in input order, and the three sorted copies are stacked.  Per
+    window the exact farthest pair joins the boundary (:func:`_farthest_pairs`);
+    a single-point window contributes its point.  Cost: the sorts, an O(n)
+    prune, then O(sum m^2) work over the m rows each window keeps.  The pair
+    equals a row scan's because the prune keeps both ends of every farthest
+    pair and each kept pair's distance has the row scan's bits.  Equal rows
+    across axes and windows (``-0.0`` equals ``0.0``) are kept once, in
+    first-seen order (axis-major, window-minor).
     """
     if slice_width <= 0:
         raise DomainError("slice_width must be positive")
@@ -59,70 +60,96 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = DEFAULT_SLICE_WID
     if cloud.is_empty:
         raise DomainError("cannot estimate the boundary of an empty patch")
     pts = cloud.points
+    n = len(pts)
 
-    rows: list[np.ndarray] = []
+    orders, starts = [], []
     for axis in range(3):
         coords = pts[:, axis]
         idx = np.floor((coords - coords.min()) / slice_width + 0.5).astype(np.int64)
-        order = np.argsort(idx, kind="stable")
-        starts = np.flatnonzero(np.diff(idx[order])) + 1
-        for members in np.split(pts[order], starts):
-            rows.extend(_farthest_pair(members))
+        orders.append(np.argsort(idx, kind="stable"))
+        starts += [[axis * n], np.flatnonzero(np.diff(idx[orders[-1]])) + 1 + axis * n]
+    stacked = pts[np.concatenate(orders)]
+    first, second = _farthest_pairs(stacked, np.concatenate(starts))
 
-    rim = np.array(rows)
-    first = np.unique(rim, axis=0, return_index=True)[1]
-    return BoundaryEstimate(points=rim[np.sort(first)])
+    rim = stacked[np.column_stack((first, second)).ravel()]
+    seen = np.unique(rim, axis=0, return_index=True)[1]
+    return BoundaryEstimate(points=rim[np.sort(seen)])
 
 
-def _farthest_pair(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact farthest pair of a point set, as two rows of ``points``.
+_PAIR_CHUNK = 2**14  # pairs compared per step: bounds the pair pass's memory
 
-    Only the rows that :func:`_diameter_candidates` keeps are scanned, in
-    their original order.  Each is compared with every later one in one
-    vectorised step, and a row's first maximum replaces the best only when
-    strictly larger.  Pairs are thus visited in lexicographic index order and
-    the result is the first maximum in that order: ties on squared distance go
-    to the smallest ``(i, j)``, so the result does not depend on accidental
-    ordering upstream.  The prune keeps both ends of every farthest pair and
-    the scan computes each kept pair's distance as an unpruned scan would, so
-    the result is the same.  Cost: O(k) for the prune, then O(m^2) time and
-    O(k) memory for the m kept rows.
+
+def _farthest_pairs(points: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact farthest pair of each window of ``points``, as two row indices.
+
+    Window ``w`` runs from ``starts[w]`` to the next start or the end.  The
+    rows :func:`_window_candidates` keeps are paired ``i < j`` row-major, i.e.
+    in lexicographic index order, and each pair's squared distance is the same
+    ``einsum`` over ``points[i] - points[j]`` a row scan computes.  So the
+    first pair attaining a window's maximum is the row scan's: ties go to the
+    smallest ``(i, j)``.  Pairs go in chunks of whole rows, about
+    ``_PAIR_CHUNK`` each, and a later chunk replaces a window's best only when
+    strictly farther; memory is O(n + chunk).  A window that keeps one row
+    returns it twice.
     """
-    keep = _diameter_candidates(points)
-    kept = points[keep]
-    best, best_i, best_j = -1.0, 0, 0
-    for i in range(len(kept) - 1):
-        diff = kept[i] - kept[i + 1:]
-        d2 = np.einsum("jk,jk->j", diff, diff)
-        j = int(d2.argmax())
-        if d2[j] > best:
-            best, best_i, best_j = d2[j], i, i + 1 + j
-    return points[keep[best_i]], points[keep[best_j]]
+    kept = np.flatnonzero(_window_candidates(points, starts))
+    rows = points[kept]
+    begin = np.searchsorted(kept, starts)  # each window's first kept row
+    m = np.diff(np.append(begin, len(kept)))
+    window = np.repeat(np.arange(len(starts)), m)
+    later = np.repeat(begin + m, m) - np.arange(len(kept)) - 1  # its window's kept rows after each one
+    ends = np.cumsum(later)
+    best = np.full(len(starts), -1.0)
+    first, second = begin.copy(), begin.copy()
+    r0 = done = 0
+    while done < ends[-1]:  # whole rows; a row with more pairs than a chunk goes alone
+        r1 = max(np.searchsorted(ends, done + _PAIR_CHUNK, "right"), np.searchsorted(ends, done, "right") + 1)
+        count = later[r0:r1]
+        i = np.repeat(np.arange(r0, r1), count)
+        j = i + 1 + np.arange(len(i)) - np.repeat(ends[r0:r1] - count - done, count)
+        d = rows[i] - rows[j]
+        w = np.repeat(window[r0:r1], count)
+        seg = np.flatnonzero(np.diff(w, prepend=-1))
+        top, at = _first_max(np.einsum("jk,jk->j", d, d), seg)
+        better = top > best[w[seg]]
+        win, at = w[seg][better], at[better]
+        best[win], first[win], second[win] = top[better], i[at], j[at]
+        r0, done = r1, ends[r1 - 1]
+    return kept[first], kept[second]
 
 
-def _diameter_candidates(points: np.ndarray) -> np.ndarray:
-    """Ascending indices of the points that can end a farthest pair.
+def _window_candidates(points: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mask of the rows that can end their window's farthest pair.
 
-    ``R`` is the largest distance from the mean ``c``, and the distance from
-    the point that attains it to the point farthest from that one is a lower
-    bound ``L`` on the diameter ``D``, as any pair distance is.  The ends
-    ``p, q`` of a farthest pair satisfy ``D <= |p - c| + |q - c|``, so both
-    lie at ``|p - c| >= D - R >= L - R`` (Preparata & Shamos, *Computational
-    Geometry*, ch. 4).  The computed distances carry a relative error of a
-    few ulp, plus an absolute one below 1e-161 where squares underflow; the
-    margin taken off ``L - R`` is far larger than both, so it can only keep
-    more points.  A bound that is not finite keeps every point.  O(k) time
-    and memory.
+    Per window, ``R`` is the largest distance from the mean ``c``, and the
+    distance from the first point attaining it to the point farthest from that
+    one is a lower bound ``L`` on the diameter ``D``.  The ends ``p, q`` of a
+    farthest pair satisfy ``D <= |p - c| + |q - c|`` for any centre ``c``, so
+    both lie at ``|p - c| >= D - R >= L - R`` (Preparata & Shamos,
+    *Computational Geometry*, ch. 4), however ``c`` is rounded.  The computed
+    distances carry a relative error of a few ulp, plus an absolute one below
+    1e-161 where squares underflow; the margin taken off ``L - R`` is far
+    larger than both, so it can only keep more points.  A window whose bound
+    is not finite keeps every point.  O(n) time and memory.
     """
-    diff = points - points.mean(axis=0)
+    count = np.diff(np.append(starts, len(points)))
+    mean = np.add.reduceat(points, starts, axis=0) / count[:, None]
+    diff = points - np.repeat(mean, count, axis=0)
     r = np.sqrt(np.einsum("jk,jk->j", diff, diff))
-    reach = float(r.max())
-    diff = points - points[int(r.argmax())]
-    lower = float(np.sqrt(np.einsum("jk,jk->j", diff, diff).max()))
-    cut = lower - reach - (1e-9 * (lower + reach) + 1e-150)
-    if not np.isfinite(cut):
-        return np.arange(len(points))
-    return np.flatnonzero(r >= cut)
+    reach, far = _first_max(r, starts)
+    diff = points - np.repeat(points[far], count, axis=0)
+    lower = np.sqrt(np.maximum.reduceat(np.einsum("jk,jk->j", diff, diff), starts))
+    with np.errstate(invalid="ignore"):  # inf - inf where squares overflow: keep the window whole
+        cut = lower - reach - (1e-9 * (lower + reach) + 1e-150)
+    cut[~np.isfinite(cut)] = -np.inf
+    return r >= np.repeat(cut, count)
+
+
+def _first_max(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per run of ``values`` from each of ``starts``: its maximum and where it first occurs."""
+    top = np.maximum.reduceat(values, starts)
+    hit = values == np.repeat(top, np.diff(np.append(starts, len(values))))
+    return top, np.minimum.reduceat(np.where(hit, np.arange(len(values)), len(values)), starts)
 
 
 def directed_hausdorff(from_points: np.ndarray, to_points: np.ndarray) -> float:
