@@ -71,9 +71,20 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = DEFAULT_SLICE_WID
     stacked = pts[np.concatenate(orders)]
     first, second = _farthest_pairs(stacked, np.concatenate(starts))
 
-    rim = stacked[np.column_stack((first, second)).ravel()]
-    seen = np.unique(rim, axis=0, return_index=True)[1]
-    return BoundaryEstimate(points=rim[np.sort(seen)])
+    return BoundaryEstimate(points=_first_seen(stacked[np.column_stack((first, second)).ravel()]))
+
+
+def _first_seen(rows: np.ndarray) -> np.ndarray:
+    """``rows`` without repeats, each kept where it first occurs.
+
+    One stable ``np.lexsort`` by (x, y, z) puts equal rows next to each
+    other in input order; a row equal to the one before it in that order
+    is dropped.  Comparisons are ``==``, so ``-0.0`` and ``0.0`` tie.
+    """
+    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
+    ordered = rows[order]
+    repeat = (ordered[1:] == ordered[:-1]).all(axis=1)
+    return rows[np.sort(order[np.concatenate(([True], ~repeat))])]
 
 
 _PAIR_CHUNK = 2**14  # pairs compared per step: bounds the pair pass's memory

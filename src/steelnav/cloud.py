@@ -200,15 +200,19 @@ _HEADER_KEYWORDS = {
 }
 # Every byte of a data block that the one-call parse may take
 _DATA_BYTES = b"0123456789+-.eE \n"
+# Bytes of the block checked against _DATA_BYTES at a time: the check's copies stay this small
+_CHECK_SLICE = 2**16
 
 
 def load_cloud(path: PathLike) -> PointCloud:
     """Read an ASCII PCD file restricted to plain x y z float fields.
 
-    The file is read once.  Its data block is parsed in one ``np.loadtxt``
-    call when every byte of it is a digit, one of ``+ - . e E``, a space or
-    ``\\n``, and that parse is kept only when it has 3 columns, exactly
-    POINTS rows and finite values.  Any other block (CR line ends, tabs,
+    The file is read once from start to end, so a pipe works as well as a
+    regular file.  The data block is one bytes object read straight from the
+    file, so memory holds the block, the parsed array and little more.  The
+    block is parsed in one ``np.loadtxt`` call when every byte of it is a
+    digit, one of ``+ - . e E``, a space or ``\\n``, and that parse is kept
+    only when it has 3 columns, exactly POINTS rows and finite values.  Any other block (CR line ends, tabs,
     comments, tokens such as ``1_0`` or ``nan``, a wrong row count) goes
     through the line parser, which decides the result and is the only
     source of :class:`ParseError`.
@@ -220,17 +224,22 @@ def load_cloud(path: PathLike) -> PointCloud:
     Binary DATA is rejected.
     """
     path = Path(path)
-    with path.open("rb") as fh:
-        data_line_no, expected, block = _read_header(path, fh)
+    # Unbuffered, so no read-ahead is left to join to the block: the header
+    # lines are read a byte at a time and the block in one piece.
+    with path.open("rb", buffering=0) as fh:
+        data_line_no, expected, head = _read_header(path, fh)
+        block = head + fh.readall() if head else fh.readall()
     rows = _parse_block(block, expected)
     if rows is None:
         rows = _parse_rows(path, data_line_no, expected, block)
+    del block  # freed before the cloud copies the rows
     return PointCloud(points=rows, frame_id=Frame.CAMERA)
 
 
 def _read_header(path: Path, fh: BinaryIO) -> tuple[int, int, bytes]:
     """Validate the header; return the DATA line's number, the POINTS count
-    and the rest of the file, which starts right after the DATA line."""
+    and the bytes already read past the DATA line, which start the data block
+    (empty unless the DATA line ends in a lone CR)."""
     header: dict[str, list[str]] = {}
     line_no = 0
     for chunk in fh:
@@ -255,7 +264,7 @@ def _read_header(path: Path, fh: BinaryIO) -> tuple[int, int, bytes]:
                     raise ParseError(path, line_no, "POINTS must carry an integer count")
             if keyword == "DATA":
                 _validate_header(path, line_no, header)
-                return line_no, expected, b"".join(lines[pos + 1:]) + fh.read()
+                return line_no, expected, b"".join(lines[pos + 1:])
     raise ParseError(path, 1, "missing DATA header line")
 
 
@@ -269,9 +278,12 @@ def _text(path: Path, line_no: int, raw: bytes) -> str:
 def _parse_block(block: bytes, expected: int) -> Optional[np.ndarray]:
     """The data block as an (expected, 3) array from one ``np.loadtxt`` call,
     or None when the block is not plain space-separated decimals or does not
-    parse to exactly that."""
-    if block.translate(None, _DATA_BYTES) or not block.strip():
+    parse to exactly that.  The checks copy no more than ``_CHECK_SLICE``
+    bytes of the block at a time."""
+    if not block or block.isspace():
         return None  # an empty block would make loadtxt warn
+    if any(block[i:i + _CHECK_SLICE].translate(None, _DATA_BYTES) for i in range(0, len(block), _CHECK_SLICE)):
+        return None
     try:
         rows = np.loadtxt(io.BytesIO(block), dtype=np.float64, ndmin=2)
     except ValueError:
@@ -353,13 +365,16 @@ def save_cloud(path: PathLike, cloud: PointCloud) -> None:
 
 def passthrough(cloud: PointCloud, cfg: FilterConfig) -> PointCloud:
     """Keep exactly the points whose coordinates fall inside the per-axis
-    [min, max] ranges, preserving order."""
+    [min, max] ranges, preserving order.  A cloud that keeps every point is
+    returned as it is: it is immutable, so a copy would add nothing."""
     if cloud.is_empty:
         return cloud
     pts = cloud.points
     mask = np.ones(len(cloud), dtype=bool)
     for axis, (lo, hi) in enumerate((cfg.x_range, cfg.y_range, cfg.z_range)):
         mask &= (pts[:, axis] >= lo) & (pts[:, axis] <= hi)
+    if mask.all():
+        return cloud
     return cloud.with_points(pts[mask])
 
 
@@ -445,7 +460,9 @@ def ransac_plane(cloud: PointCloud, cfg: FilterConfig, seed: int) -> Optional[Pl
         idx = rng.integers(n, size=(m, 3))
         idx = idx[(idx[:, 0] != idx[:, 1]) & (idx[:, 1] != idx[:, 2]) & (idx[:, 0] != idx[:, 2])]
         p0 = pts[idx[:, 0]]
-        cross = np.cross(pts[idx[:, 1]] - p0, pts[idx[:, 2]] - p0)
+        u, v = (pts[idx[:, 1]] - p0).T, (pts[idx[:, 2]] - p0).T
+        # np.cross's products and differences, without its broadcasting set-up
+        cross = np.column_stack((u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]))
         norms = np.linalg.norm(cross, axis=1)
         keep = norms >= 1e-12
         if not keep.any():

@@ -7,8 +7,8 @@ pose sits a quarter foot length further inward.  A candidate is accepted
 when all corners and edge midpoints of the rectangle at that pose pass an
 interior test against the local boundary distance, so the verdict is about
 the rectangle the pose describes.  The 8 probes of a candidate are judged
-together, in one array pass.  The first accepted candidate yields the
-landing pose.
+together, in one array pass, against a boundary sorted lexicographically
+once per placement.  The first accepted candidate yields the landing pose.
 """
 
 from __future__ import annotations
@@ -140,11 +140,20 @@ def build_candidate(anchor, center, normal, geometry: FootGeometry) -> Candidate
     inward by the foot length.  Raises :class:`DegenerateAnchorError` when
     the anchor is too close to the center to define a direction.
     """
-    a = np.asarray(anchor, dtype=np.float64).reshape(3)
-    c = np.asarray(center, dtype=np.float64).reshape(3)
-    e_z = np.asarray(normal, dtype=np.float64).reshape(3)
-    e_z = e_z / np.linalg.norm(e_z)
-    delta = a - c
+    a, c, n = (np.asarray(v, dtype=np.float64).reshape(3) for v in (anchor, center, normal))
+    frame, probes = _frame_and_probes(a, c, n, geometry)
+    return CandidateRectangle(frame=frame, corners=probes[:4], midpoints=probes[4:])
+
+
+def _frame_and_probes(anchor: np.ndarray, center: np.ndarray, normal: np.ndarray, geometry: FootGeometry):
+    """The frame of the candidate at ``anchor`` and its 8 probes, corners then
+    midpoints, as plain (3, 3) and (8, 3) arrays.
+
+    The lateral axis is ``e_z x e_x`` written out component by component, as
+    ``np.cross`` computes it.
+    """
+    e_z = normal / np.linalg.norm(normal)
+    delta = anchor - center
     if np.linalg.norm(delta) < 1e-9:
         raise DegenerateAnchorError("candidate anchor coincides with the patch center")
     in_plane = delta - (delta @ e_z) * e_z
@@ -152,17 +161,16 @@ def build_candidate(anchor, center, normal, geometry: FootGeometry) -> Candidate
     if norm < 1e-9:
         raise DegenerateAnchorError("candidate anchor sits on the normal through the patch center")
     e_x = in_plane / norm
-    e_y = np.cross(e_z, e_x)
+    (x0, x1, x2), (z0, z1, z2) = e_x.tolist(), e_z.tolist()
+    e_y = np.array([z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0])
     frame = np.column_stack([e_x, e_y, e_z])
 
-    half_w = 0.5 * geometry.width
-    r1 = a + half_w * e_y
-    r2 = a - half_w * e_y
-    r3 = r2 - geometry.length * e_x
-    r4 = r1 - geometry.length * e_x
-    corners = np.array([r1, r2, r3, r4])
-    midpoints = 0.5 * (corners + np.roll(corners, -1, axis=0))
-    return CandidateRectangle(frame=frame, corners=corners, midpoints=midpoints)
+    side = 0.5 * geometry.width * e_y
+    back = geometry.length * e_x
+    r1 = anchor + side
+    r2 = anchor - side
+    corners = np.array([r1, r2, r2 - back, r1 - back])
+    return frame, np.concatenate([corners, 0.5 * (corners + corners[[1, 2, 3, 0]])])
 
 
 def probe_passes(probes, center, boundary_points: np.ndarray, geometry: FootGeometry) -> np.ndarray:
@@ -183,11 +191,22 @@ def probe_passes(probes, center, boundary_points: np.ndarray, geometry: FootGeom
         raise DomainError("boundary_points must form an (M, 3) array")
     if len(rim) < geometry.neighbor_count:
         raise DomainError(f"boundary has {len(rim)} points, need {geometry.neighbor_count}")
-    rim = rim[np.lexsort((rim[:, 2], rim[:, 1], rim[:, 0]))]
-    d = np.linalg.norm(rim - p[:, None, :], axis=2)
+    rim = _lexicographic(rim)
+    return _judge(p, c, rim, np.linalg.norm(rim - c, axis=1), geometry)
+
+
+def _lexicographic(rim: np.ndarray) -> np.ndarray:
+    """The rows of ``rim`` in (x, y, z) order; equal rows keep their order."""
+    return rim[np.lexsort((rim[:, 2], rim[:, 1], rim[:, 0]))]
+
+
+def _judge(probes: np.ndarray, center: np.ndarray, rim: np.ndarray, reach: np.ndarray, geometry: FootGeometry) -> np.ndarray:
+    """:func:`probe_passes` on an (n, 3) ``probes`` array and a ``rim`` already
+    in (x, y, z) order, whose rows lie ``reach`` from ``center``."""
+    d = np.linalg.norm(rim - probes[:, None, :], axis=2)
     nearest = np.argsort(d, axis=1, kind="stable")[:, :geometry.neighbor_count]
-    d_q = np.linalg.norm(rim - c, axis=1)[nearest].mean(axis=1)
-    d_r = np.linalg.norm(p - c, axis=1)
+    d_q = reach[nearest].mean(axis=1)
+    d_r = np.linalg.norm(probes - center, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (d_r < d_q) | ((d_r > 0) & ((d_r - d_q) / d_r < geometry.tolerance))
 
@@ -205,6 +224,12 @@ def check_placeability(boundary_points, center, normal, geometry: FootGeometry =
     outward direction undefined are skipped.  Raises a domain error when the
     boundary is too small for the configured counts; returns a rejected
     report when no candidate fits, which is a decision rather than an error.
+
+    The boundary is sorted and its center distances taken once per call,
+    not once per candidate; each candidate is a plain frame and probe array,
+    and only the winner becomes a validated :class:`FootPose`.  Every
+    verdict and pose has the bits of building :func:`build_candidate` and
+    calling :func:`probe_passes` per candidate.
     """
     pts = np.asarray(boundary_points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -214,17 +239,17 @@ def check_placeability(boundary_points, center, normal, geometry: FootGeometry =
         raise DomainError(f"boundary has {len(pts)} points, need at least {needed}")
 
     anchors = closest_points(pts, center, geometry.candidate_count)
-    tried = 0
-    for anchor in anchors:
-        tried += 1
+    c = np.asarray(center, dtype=np.float64).reshape(3)
+    n = np.asarray(normal, dtype=np.float64).reshape(3)
+    rim = _lexicographic(pts)
+    reach = np.linalg.norm(rim - c, axis=1)
+    for tried, anchor in enumerate(anchors, start=1):
         try:
-            candidate = build_candidate(anchor, center, normal, geometry)
+            frame, probes = _frame_and_probes(anchor, c, n, geometry)
         except DegenerateAnchorError:
             continue
-        probes = candidate.probes
-        inward = 0.25 * geometry.length * candidate.frame[:, 0]
-        if probe_passes(probes - inward, center, pts, geometry).all():
-            position = probes.mean(axis=0) - inward
-            pose = FootPose(position=position, orientation=candidate.frame)
+        inward = 0.25 * geometry.length * frame[:, 0]
+        if _judge(probes - inward, c, rim, reach, geometry).all():
+            pose = FootPose(position=probes.mean(axis=0) - inward, orientation=frame)
             return PlacementReport(placeable=True, pose=pose, candidates_tried=tried, accepted_anchor=anchor)
-    return PlacementReport(placeable=False, pose=None, candidates_tried=tried, accepted_anchor=None)
+    return PlacementReport(placeable=False, pose=None, candidates_tried=len(anchors), accepted_anchor=None)

@@ -203,6 +203,32 @@ def test_rim_dedupe_takes_signed_zeros_as_equal():
     assert_same_bytes(estimate_boundary(patch_of(points), slice_width=0.02).points, want)
 
 
+def unique_first_seen(rows):
+    """The earlier ``np.unique`` dedupe, kept as the oracle of ``_first_seen``."""
+    return rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_first_seen_matches_the_unique_oracle_on_fuzz_rims(seed):
+    # rims drawn from a small pool of rows, so rows repeat as they do across
+    # axes and windows, with zeros of either sign
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        pool = rng.integers(-2, 3, size=(int(rng.integers(1, 12)), 3)) * rng.choice([0.01, 1e-300, 3.0])
+        rows = pool[rng.integers(len(pool), size=int(rng.integers(1, 60)))]
+        rows = np.where(rng.random(rows.shape) < 0.5, -rows, rows)  # flips the sign of some zeros too
+        assert_same_bytes(boundary._first_seen(rows), unique_first_seen(rows))
+
+
+def test_first_seen_matches_the_unique_oracle_on_rims_of_fuzz_clouds():
+    rng = np.random.default_rng(12)
+    for family in ["rounded-grid", "signed-zero-twins", "synth"]:
+        for _ in range(10):
+            points = fuzz_cloud(family, rng)
+            returned = oracle_rim(points)[1]
+            assert_same_bytes(boundary._first_seen(returned), unique_first_seen(returned))
+
+
 def test_farthest_pair_matches_brute_force():
     rng = np.random.default_rng(17)
     pts = rng.normal(size=(40, 3))

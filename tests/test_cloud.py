@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -323,6 +325,84 @@ def test_odd_data_blocks_load_like_the_line_parser(tmp_path, monkeypatch, body):
     path = tmp_path / "odd.pcd"
     path.write_bytes((GOOD_HEADER + body).encode("utf-8"))
     assert_loads_like_the_line_parser(path, monkeypatch)
+
+
+@pytest.mark.filterwarnings("error")  # loadtxt warns on a block with no data
+@pytest.mark.parametrize("body", ["", "\n", " \n\n  "], ids=["empty", "one-newline", "spaces-and-newlines"])
+def test_blank_block_goes_to_the_line_parser(tmp_path, body):
+    path = _write(tmp_path, GOOD_HEADER.replace("POINTS 2", "POINTS 0") + body)
+    assert load_cloud(path).is_empty
+
+
+@pytest.mark.parametrize("data_line_end", ["\r", "\r\n", "\n"])
+def test_block_starts_right_after_a_data_line_of_any_ending(tmp_path, monkeypatch, data_line_end):
+    # after a lone CR the next row shares the DATA line's \n-ended chunk
+    header = GOOD_HEADER.replace("DATA ascii\n", "DATA ascii" + data_line_end)
+    path = tmp_path / "ends.pcd"
+    path.write_bytes((header + "\n".join(ROWS) + "\n").encode("ascii"))
+    got = assert_loads_like_the_line_parser(path, monkeypatch)
+    assert got.tobytes() == np.array([[0.5, -1.0, 2e-3], [1.25, 0.0, -0.0]]).tobytes()
+
+
+def _load_through_a_pipe(tmp_path, data: bytes):
+    """load_cloud's outcome on ``data`` fed through a FIFO, which cannot seek."""
+    fifo = tmp_path / "pipe.pcd"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:  # blocks until load_cloud opens the FIFO
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped at a parse error
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return _outcome(lambda: load_cloud(fifo))
+    finally:
+        writer.join(timeout=10)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("case", ["plate", "lone-cr-data-line", "crlf", "bad-row", "bad-header"])
+def test_load_reads_a_pipe_like_a_regular_file(tmp_path, case):
+    if case == "plate":  # a block many pipe buffers long
+        regular = tmp_path / "plate.pcd"
+        save_cloud(regular, make_cloud(np.random.default_rng(3).uniform(-1, 1, size=(20_000, 3))))
+        data = regular.read_bytes()
+    else:
+        text = {
+            "lone-cr-data-line": GOOD_HEADER.replace("DATA ascii\n", "DATA ascii\r") + "\n".join(ROWS) + "\n",
+            "crlf": (GOOD_HEADER + "\n".join(ROWS) + "\n").replace("\n", "\r\n"),
+            "bad-row": GOOD_HEADER + ROWS[0] + "\n0.5 x 1\n",
+            "bad-header": GOOD_HEADER.replace("WIDTH", "WIDE"),
+        }[case]
+        data = text.encode("ascii")
+        regular = tmp_path / "regular.pcd"
+        regular.write_bytes(data)
+    want = _outcome(lambda: load_cloud(regular))
+    got = _load_through_a_pipe(tmp_path, data)
+    if isinstance(want, tuple):
+        assert got == (want[0], want[1].replace(str(regular), str(tmp_path / "pipe.pcd")))
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+def test_load_holds_one_data_block_and_the_rows_at_its_peak(tmp_path):
+    # The block is read from the file as one bytes object, checked a slice at
+    # a time and freed before the cloud copies the rows.  A second copy of the
+    # block anywhere would lift the peak to about 1.4 times this bound's base.
+    path = tmp_path / "plate.pcd"
+    save_cloud(path, make_cloud(np.random.default_rng(5).uniform(-1, 1, size=(50_000, 3))))
+    tracemalloc.start()
+    try:
+        cloud = load_cloud(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == 50_000
+    assert peak < 1.15 * (path.stat().st_size + cloud.points.nbytes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from steelnav.boundary import estimate_boundary
-from steelnav.cloud import PlanarPatch, PointCloud, RigidTransform
+from steelnav.cloud import FilterConfig, PlanarPatch, PointCloud, RigidTransform, check_rotation, ransac_plane
 from steelnav.errors import DegenerateAnchorError, DomainError
 from steelnav.footprint import (
     FootGeometry,
@@ -13,6 +15,7 @@ from steelnav.footprint import (
     closest_points,
     probe_passes,
 )
+from steelnav.synth import CloudShape, SyntheticCloudSpec, generate_cloud
 
 
 def patch_of(points):
@@ -357,3 +360,130 @@ def test_foot_geometry_validation():
         FootGeometry(tolerance=0.0)
     with pytest.raises(DomainError):
         FootGeometry(candidate_count=0)
+
+
+# ---------------------------------------------------------------------------
+# placement against the per-candidate oracle
+
+
+def reference_placement(boundary_points, center, normal, geometry):
+    """The earlier per-candidate placement, kept as the oracle of check_placeability.
+
+    Each candidate is built with ``np.cross`` and ``np.roll`` and validated,
+    and its probes are judged against a rim sorted again for that candidate.
+    Returns (placeable, candidates_tried, accepted anchor, pose position,
+    pose orientation), the last three None when nothing fits.
+    """
+    pts = np.asarray(boundary_points, dtype=np.float64)
+    c = np.asarray(center, dtype=np.float64).reshape(3)
+    anchors = closest_points(pts, c, geometry.candidate_count)
+    tried = 0
+    for a in anchors:
+        tried += 1
+        e_z = np.asarray(normal, dtype=np.float64).reshape(3)
+        e_z = e_z / np.linalg.norm(e_z)
+        delta = a - c
+        if np.linalg.norm(delta) < 1e-9:
+            continue
+        in_plane = delta - (delta @ e_z) * e_z
+        norm = np.linalg.norm(in_plane)
+        if norm < 1e-9:
+            continue
+        e_x = in_plane / norm
+        e_y = np.cross(e_z, e_x)
+        frame = np.column_stack([e_x, e_y, e_z])
+        half_w = 0.5 * geometry.width
+        r1 = a + half_w * e_y
+        r2 = a - half_w * e_y
+        corners = np.array([r1, r2, r2 - geometry.length * e_x, r1 - geometry.length * e_x])
+        probes = np.vstack([corners, 0.5 * (corners + np.roll(corners, -1, axis=0))])
+        check_rotation(frame, "candidate frame")
+        inward = 0.25 * geometry.length * frame[:, 0]
+        moved = probes - inward
+        rim = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+        d = np.linalg.norm(rim - moved[:, None, :], axis=2)
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :geometry.neighbor_count]
+        d_q = np.linalg.norm(rim - c, axis=1)[nearest].mean(axis=1)
+        d_r = np.linalg.norm(moved - c, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            passes = (d_r < d_q) | ((d_r > 0) & ((d_r - d_q) / d_r < geometry.tolerance))
+        if passes.all():
+            return True, tried, a, probes.mean(axis=0) - inward, frame
+    return False, tried, None, None, None
+
+
+def assert_places_like_the_oracle(boundary_points, center, normal, geometry):
+    placeable, tried, anchor, position, orientation = reference_placement(boundary_points, center, normal, geometry)
+    report = check_placeability(boundary_points, center, normal, geometry)
+    assert (report.placeable, report.candidates_tried) == (placeable, tried)
+    if placeable:
+        assert report.accepted_anchor.tobytes() == anchor.tobytes()
+        assert report.pose.position.tobytes() == position.tobytes()
+        assert report.pose.orientation.tobytes() == np.ascontiguousarray(orientation).tobytes()
+    else:
+        assert report.accepted_anchor is None and report.pose is None
+    return report
+
+
+SWEEP_SHAPES = [
+    (CloudShape.RECTANGLE, dict(size_x=0.32, size_y=0.32)),
+    (CloudShape.STRIP, dict(size_x=0.46, size_y=0.30)),
+    (CloudShape.L_SHAPE, dict(size_x=0.40, size_y=0.40)),
+    (CloudShape.RECTANGLE_WITH_HOLE, dict(size_x=0.36, size_y=0.36, hole_size=0.10)),
+    (CloudShape.RECTANGLE_WITH_HOLE, dict(size_x=0.50, size_y=0.50, hole_size=0.38)),
+    (CloudShape.CIRCLE, dict(size_x=0.38, size_y=0.38)),
+    (CloudShape.RECTANGLE, dict(size_x=1.20, size_y=0.07)),
+    (CloudShape.L_SHAPE, dict(size_x=1.20, size_y=0.08)),
+    (CloudShape.CIRCLE, dict(size_x=0.12, size_y=0.12)),
+]
+ORACLE_GEOMETRIES = [FootGeometry(), FootGeometry(width=0.08, length=0.30, tolerance=0.3, candidate_count=9, neighbor_count=1)]
+
+
+@pytest.mark.parametrize("shape, dims", SWEEP_SHAPES, ids=[f"{s.value}-{d['size_x']}" for s, d in SWEEP_SHAPES])
+def test_placement_matches_the_per_candidate_oracle_over_yaws(shape, dims):
+    for step in range(0, 24, 5):
+        pose = RigidTransform.from_euler_zyx(step * math.pi / 12, 0.2 * (step % 2), 0.0, translation=(0.1, 0.0, 0.6))
+        spec = SyntheticCloudSpec(shape=shape, noise_sigma=0.001, outlier_fraction=0.1, pose=pose, **dims)
+        patch = ransac_plane(generate_cloud(spec, seed=step), FilterConfig(min_inlier_count=50), seed=1)
+        rim = estimate_boundary(patch, 0.02).points
+        for geometry in ORACLE_GEOMETRIES:
+            assert_places_like_the_oracle(rim, patch.centroid, patch.normal, geometry)
+
+
+@pytest.mark.parametrize("rim, center", [
+    (grid_rim(), [0.0, 0.0, 0.0]),
+    (grid_rim()[np.random.default_rng(26).permutation(81)], [0.025, 0.025, 0.0]),
+    (grid_rim(7, 0.1)[::-1], [0.05, 0.0, 0.0]),
+    (grid_rim(5, 0.05)[::-1], [0.0, 0.0, 0.0]),
+    (grid_rim(5, 0.05)[::-1], [0.025, 0.0, 0.0]),
+    (np.array([[np.cos(a), np.sin(a), 0.0] for a in np.linspace(0, 2 * np.pi, 24, endpoint=False)]) * 0.3,
+     [0.0, 0.0, 0.0]),
+], ids=["grid", "grid-shuffled-cell-centre", "coarse-grid-reversed", "small-grid-reversed",
+        "small-grid-reversed-off-centre", "ring-all-tied"])
+@pytest.mark.parametrize("geometry", ORACLE_GEOMETRIES + [
+    FootGeometry(width=0.5, length=0.6),
+    FootGeometry(width=0.1, length=0.1, neighbor_count=1),
+    FootGeometry(width=0.1, length=0.1, tolerance=0.3, neighbor_count=1),
+], ids=["default", "long", "wide", "short", "short-slack"])
+def test_placement_matches_the_oracle_on_distance_ties(rim, center, geometry):
+    # on the small reversed grid the short feet's probes sit exactly between
+    # rim points at different centre distances: the (x, y, z) order of the
+    # tied points decides the verdict
+    assert_places_like_the_oracle(rim, center, [0.0, 0.0, 1.0], geometry)
+
+
+@pytest.mark.parametrize("normal", [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.0, 0.0, -2.0]])
+def test_placement_skips_anchors_at_the_centre_and_on_the_normal(normal):
+    # the two rim points nearest the centre leave the outward axis undefined:
+    # they count as tried, and a foot short enough to stay clear of them is
+    # placed at the third anchor; with only those two as candidates, none is
+    n = np.asarray(normal) / np.linalg.norm(normal)
+    center = np.array([0.01, -0.02, 0.0])
+    angles = np.linspace(0, 2 * np.pi, 40, endpoint=False)
+    ring = center + 0.3 * np.column_stack([np.cos(angles), np.sin(angles), np.zeros(40)])
+    ring -= ((ring - center) @ n)[:, None] * n  # into the plane through the centre
+    rim = np.vstack([ring, center, center + 0.004 * n])
+    report = assert_places_like_the_oracle(rim, center, normal, FootGeometry(width=0.05, length=0.05))
+    assert report.placeable and report.candidates_tried == 3
+    none = assert_places_like_the_oracle(rim, center, normal, FootGeometry(candidate_count=2))
+    assert not none.placeable and none.candidates_tried == 2
