@@ -25,7 +25,7 @@ from .actuate import (
     trajectory_to_csv,
 )
 from .cloud import RigidTransform, load_cloud, save_cloud
-from .config import RunConfig, load_config
+from .config import TABLE, RunConfig, load_config
 from .drive import simulate_track, trace_to_csv
 from .errors import NavError
 from .switching import SwitchDecision, Transformation, decide, decision_to_json
@@ -49,6 +49,8 @@ DECIDE_FLAGS = (
     ("--base-height", ("height", "base_height"), "robot base height, meters"),
     ("--height-tol", ("height", "tolerance"), "height equality tolerance, meters"),
 )
+# gen's --seed has no config key, but is read by the same rule as [run] seed.
+_parse_seed = TABLE[SEED_FLAG[1]][1]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rot-yaw", type=float, default=0.0, help="pose yaw, radians")
     gen.add_argument("--rot-pitch", type=float, default=0.0, help="pose pitch, radians")
     gen.add_argument("--rot-roll", type=float, default=0.0, help="pose roll, radians")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", default="0", help="seed of the noise and outlier draws")
     gen.add_argument("--out", required=True, help="output cloud file path")
 
     dec = sub.add_parser("decide", help="run the cloud-to-transformation decision")
@@ -145,7 +147,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             translation=(args.tx, args.ty, args.tz),
         ),
     )
-    cloud = generate_cloud(spec, seed=args.seed)
+    cloud = generate_cloud(spec, seed=_parse_seed("--seed", args.seed))
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)

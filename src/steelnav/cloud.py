@@ -145,6 +145,8 @@ class RigidTransform:
     @classmethod
     def from_euler_zyx(cls, yaw: float, pitch: float, roll: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
         """Build from intrinsic z-y-x Euler angles in radians."""
+        if not all(math.isfinite(a) for a in (yaw, pitch, roll)):
+            raise DomainError(f"Euler angles must be finite, got yaw={yaw} pitch={pitch} roll={roll}")
         cz, sz = math.cos(yaw), math.sin(yaw)
         cy, sy = math.cos(pitch), math.sin(pitch)
         cx, sx = math.cos(roll), math.sin(roll)

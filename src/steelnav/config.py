@@ -84,6 +84,13 @@ def _integer(where: str, text: str) -> int:
         raise ConfigError(f"{where}: not an integer: {text!r}")
 
 
+def _seed(where: str, text: str) -> int:
+    value = _integer(where, text)
+    if value < 0:
+        raise ConfigError(f"{where}: must be a non-negative integer: {text!r}")
+    return value
+
+
 def _vector(length: int) -> Callable[[str, str], tuple[float, ...]]:
     def parse(where: str, text: str) -> tuple[float, ...]:
         parts = text.replace(",", " ").split()
@@ -191,7 +198,7 @@ TABLE: dict[tuple[str, str], tuple[tuple, Callable]] = {
     ("jump", "start"): (("jump", "start_joints"), _vector(6)),
     ("jump", "steps"): (("jump", "steps"), _integer),
     ("jump", "events"): (("jump", "events"), _events),
-    ("run", "seed"): (("seed",), _integer),
+    ("run", "seed"): (("seed",), _seed),
 }
 
 def load_config(

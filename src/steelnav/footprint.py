@@ -6,9 +6,9 @@ off the boundary points nearest the centroid and extend inward; the landing
 pose sits a quarter foot length further inward.  A candidate is accepted
 when all corners and edge midpoints of the rectangle at that pose pass an
 interior test against the local boundary distance, so the verdict is about
-the rectangle the pose describes.  The 8 probes of a candidate are judged
-together, in one array pass, against a boundary sorted lexicographically
-once per placement.  The first accepted candidate yields the landing pose.
+the rectangle the pose describes.  The first accepted candidate yields the
+landing pose.  The anchors and each probe's boundary neighbours are the
+nearest points by one rule: distance, then (x, y, z), then input order.
 """
 
 from __future__ import annotations
@@ -125,10 +125,8 @@ def closest_points(points: np.ndarray, query, count: int) -> np.ndarray:
         raise DomainError("count must be at least 1")
     if len(pts) < count:
         raise DomainError(f"point set has {len(pts)} points, need {count}")
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    d = np.linalg.norm(pts - q, axis=1)
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], d))
-    return pts[order[:count]]
+    rim, d = _sorted_rim(pts, np.asarray(query, dtype=np.float64).reshape(3))
+    return rim[_nearest(d, count)]
 
 
 def build_candidate(anchor, center, normal, geometry: FootGeometry) -> CandidateRectangle:
@@ -191,21 +189,31 @@ def probe_passes(probes, center, boundary_points: np.ndarray, geometry: FootGeom
         raise DomainError("boundary_points must form an (M, 3) array")
     if len(rim) < geometry.neighbor_count:
         raise DomainError(f"boundary has {len(rim)} points, need {geometry.neighbor_count}")
-    rim = _lexicographic(rim)
-    return _judge(p, c, rim, np.linalg.norm(rim - c, axis=1), geometry)
+    return _judge(p, c, *_sorted_rim(rim, c), geometry)
 
 
-def _lexicographic(rim: np.ndarray) -> np.ndarray:
-    """The rows of ``rim`` in (x, y, z) order; equal rows keep their order."""
-    return rim[np.lexsort((rim[:, 2], rim[:, 1], rim[:, 0]))]
+def _sorted_rim(points: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``points`` in (x, y, z) order, equal rows keeping their
+    order, and the distance of each from ``center``."""
+    rim = points[np.lexsort((points[:, 2], points[:, 1], points[:, 0]))]
+    return rim, np.linalg.norm(rim - center, axis=1)
+
+
+def _nearest(distances: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` smallest ``distances`` along the last axis, ascending; ties keep index order."""
+    return np.argsort(distances, axis=-1, kind="stable")[..., :count]
+
+
+def _min_rim(geometry: FootGeometry) -> int:
+    """The fewest boundary points :func:`check_placeability` places on."""
+    return max(geometry.candidate_count, geometry.neighbor_count)
 
 
 def _judge(probes: np.ndarray, center: np.ndarray, rim: np.ndarray, reach: np.ndarray, geometry: FootGeometry) -> np.ndarray:
     """:func:`probe_passes` on an (n, 3) ``probes`` array and a ``rim`` already
     in (x, y, z) order, whose rows lie ``reach`` from ``center``."""
     d = np.linalg.norm(rim - probes[:, None, :], axis=2)
-    nearest = np.argsort(d, axis=1, kind="stable")[:, :geometry.neighbor_count]
-    d_q = reach[nearest].mean(axis=1)
+    d_q = reach[_nearest(d, geometry.neighbor_count)].mean(axis=1)
     d_r = np.linalg.norm(probes - center, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (d_r < d_q) | ((d_r > 0) & ((d_r - d_q) / d_r < geometry.tolerance))
@@ -225,24 +233,21 @@ def check_placeability(boundary_points, center, normal, geometry: FootGeometry =
     boundary is too small for the configured counts; returns a rejected
     report when no candidate fits, which is a decision rather than an error.
 
-    The boundary is sorted and its center distances taken once per call,
-    not once per candidate; each candidate is a plain frame and probe array,
-    and only the winner becomes a validated :class:`FootPose`.  Every
-    verdict and pose has the bits of building :func:`build_candidate` and
-    calling :func:`probe_passes` per candidate.
+    The boundary is sorted once per call and only the winner becomes a
+    validated :class:`FootPose`; every anchor, verdict and pose has the bits
+    of :func:`closest_points`, :func:`build_candidate` and
+    :func:`probe_passes`.
     """
     pts = np.asarray(boundary_points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise DomainError("boundary_points must form an (M, 3) array")
-    needed = max(geometry.candidate_count, geometry.neighbor_count)
-    if len(pts) < needed:
-        raise DomainError(f"boundary has {len(pts)} points, need at least {needed}")
+    if len(pts) < _min_rim(geometry):
+        raise DomainError(f"boundary has {len(pts)} points, need at least {_min_rim(geometry)}")
 
-    anchors = closest_points(pts, center, geometry.candidate_count)
     c = np.asarray(center, dtype=np.float64).reshape(3)
     n = np.asarray(normal, dtype=np.float64).reshape(3)
-    rim = _lexicographic(pts)
-    reach = np.linalg.norm(rim - c, axis=1)
+    rim, reach = _sorted_rim(pts, c)
+    anchors = rim[_nearest(reach, geometry.candidate_count)]
     for tried, anchor in enumerate(anchors, start=1):
         try:
             frame, probes = _frame_and_probes(anchor, c, n, geometry)

@@ -19,7 +19,7 @@ import numpy as np
 from .boundary import DEFAULT_SLICE_WIDTH, estimate_boundary
 from .cloud import FilterConfig, PlanarPatch, PointCloud, RigidTransform, passthrough, ransac_plane, voxel_downsample
 from .errors import DomainError
-from .footprint import FootGeometry, FootPose, check_placeability
+from .footprint import FootGeometry, FootPose, _min_rim, check_placeability
 
 
 class Transformation(str, Enum):
@@ -124,40 +124,33 @@ def decide(
 
     Pass-through filter, voxel downsample, plane detection, boundary
     estimation, foot placeability, height comparison, then the switching
-    conjunction.  When no plane is found the later signals are reported
-    false and their stages never run.  Deterministic for identical
-    (cloud, configs, seed).
+    conjunction.  A stage that cannot run keeps its defaults (false signal,
+    no pose, zero counts): every stage after a failed plane detection, and
+    placement on a boundary too small for the foot's counts.  Deterministic
+    for identical (cloud, configs, seed).
     """
     filtered = passthrough(cloud, filter_cfg)
     reduced = voxel_downsample(filtered, filter_cfg.voxel_leaf)
     patch = ransac_plane(reduced, filter_cfg, seed)
 
     plane_ok = plane_availability(patch)
-    if not plane_ok:
-        diag = StageDiagnostics(inlier_count=0, boundary_count=0, accepted_candidate=None, height_delta=None)
-        ok, transformation = switching_function(False, False, False)
-        return SwitchDecision(
-            plane_ok=False, area_ok=False, height_ok=False, ok=ok,
-            transformation=transformation, pose=None, diagnostics=diag,
-        )
-
-    assert patch is not None
-    rim = estimate_boundary(patch, slice_width)
-    report = check_placeability(rim.points, patch.centroid, patch.normal, foot)
-    area_ok = report.placeable
-
-    height_ok, delta = height_availability(patch.centroid, height_cfg)
+    area_ok = height_ok = False
+    pose = accepted = delta = None
+    inlier_count = boundary_count = 0
+    if plane_ok:
+        inlier_count = len(patch.inliers)
+        rim = estimate_boundary(patch, slice_width)
+        boundary_count = len(rim)
+        if boundary_count >= _min_rim(foot):
+            report = check_placeability(rim.points, patch.centroid, patch.normal, foot)
+            area_ok, pose = report.placeable, report.pose
+            accepted = report.candidates_tried if area_ok else None
+        height_ok, delta = height_availability(patch.centroid, height_cfg)
 
     ok, transformation = switching_function(plane_ok, area_ok, height_ok)
-    diag = StageDiagnostics(
-        inlier_count=len(patch.inliers),
-        boundary_count=len(rim),
-        accepted_candidate=report.candidates_tried if report.placeable else None,
-        height_delta=delta,
-    )
     return SwitchDecision(
-        plane_ok=plane_ok, area_ok=area_ok, height_ok=height_ok, ok=ok,
-        transformation=transformation, pose=report.pose, diagnostics=diag,
+        plane_ok=plane_ok, area_ok=area_ok, height_ok=height_ok, ok=ok, transformation=transformation, pose=pose,
+        diagnostics=StageDiagnostics(inlier_count, boundary_count, accepted, delta),
     )
 
 

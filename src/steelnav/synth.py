@@ -8,6 +8,7 @@ command rely on for byte-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,6 +18,8 @@ from .cloud import Frame, PointCloud, RigidTransform
 from .errors import DomainError
 
 _EDGE_EPS = 1e-9
+# The most points an (N, 3) float64 array can hold within numpy's size limit.
+_MAX_POINTS = np.iinfo(np.intp).max // 24
 
 
 class CloudShape(str, Enum):
@@ -51,6 +54,9 @@ class SyntheticCloudSpec:
     pose: RigidTransform = RigidTransform.identity()
 
     def __post_init__(self):
+        for name in ("size_x", "size_y", "pitch", "noise_sigma", "hole_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.size_x <= 0 or self.size_y <= 0:
             raise DomainError("shape sizes must be positive")
         if self.pitch <= 0:
@@ -61,6 +67,10 @@ class SyntheticCloudSpec:
             raise DomainError("outlier fraction must lie in [0, 1)")
         if self.hole_size <= 0:
             raise DomainError("hole size must be positive")
+        grid = (self.size_x / self.pitch + 1) * (self.size_y / self.pitch + 1)
+        if grid / (1.0 - self.outlier_fraction) > _MAX_POINTS:
+            raise DomainError(f"a {self.size_x} x {self.size_y} m grid of pitch {self.pitch} m with outlier "
+                              f"fraction {self.outlier_fraction} is too large to index")
         object.__setattr__(self, "shape", CloudShape(self.shape))
 
 

@@ -84,6 +84,62 @@ def test_decide_stdout_is_stable(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("gen_flags, decide_flags, boundary_count", [
+    (["--size-x", "0.009", "--size-y", "0.009", "--pitch", "0.0004"], ["--voxel-leaf", "0.0003"], 2),
+    (["--size-x", "0.3", "--size-y", "0.3", "--pitch", "0.01", "--tx", "5.14", "--ty", "5.14"],
+     ["--min-inliers", "3"], 4),
+], ids=["tiny-plate", "plate-cut-to-a-corner"])
+def test_decide_on_a_rim_too_small_for_the_foot_steps(tmp_path, capsys, gen_flags, decide_flags, boundary_count):
+    # a plane whose boundary has fewer points than the foot's anchor or
+    # neighbour count: the foot does not fit, which is a decision
+    path = gen_square(tmp_path, extra=gen_flags)
+    capsys.readouterr()
+    assert main(["decide", str(path), *decide_flags]) == EXIT_INCH_WORM
+    wire = json.loads(capsys.readouterr().out)
+    assert (wire["s_pa"], wire["s_am"], wire["pose"]) == (True, False, None)
+    assert wire["diagnostics"]["boundary_count"] == boundary_count
+    assert wire["diagnostics"]["accepted_candidate"] is None
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--size-x", "nan"], "size_x must be finite"),
+    (["--size-y=-inf"], "size_y must be finite"),
+    (["--size-x", "inf"], "size_x must be finite"),
+    (["--pitch", "nan"], "pitch must be finite"),
+    (["--pitch", "1e-300"], "too large to index"),
+    (["--pitch", "5e-324"], "too large to index"),
+    (["--outlier-frac", "0.9999999999999999"], "too large to index"),
+    (["--noise", "nan"], "noise_sigma must be finite"),
+    (["--shape", "rectangle_with_hole", "--hole-size", "nan"], "hole_size must be finite"),
+    (["--rot-yaw", "inf"], "Euler angles must be finite"),
+    (["--rot-pitch", "nan"], "Euler angles must be finite"),
+    (["--rot-roll=-inf"], "Euler angles must be finite"),
+])
+def test_gen_rejects_a_non_finite_or_oversized_spec(tmp_path, capsys, flags, message):
+    out = tmp_path / "never.pcd"
+    assert main(["gen", *flags, "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--seed", "-1"], "error: --seed: must be a non-negative integer: '-1'"),
+    (["decide", "CLOUD", "--seed", "-1"], "error: [run] seed: must be a non-negative integer: '-1'"),
+    (["simulate", "track", "--seed", "-1"], "error: [run] seed: must be a non-negative integer: '-1'"),
+    (["simulate", "jump", "--config", "CONFIG"], "error: [run] seed: must be a non-negative integer: '-1'"),
+    (["batch", "OUT", "--config", "CONFIG"], "error: [run] seed: must be a non-negative integer: '-1'"),
+], ids=["gen", "decide", "track", "jump-config", "batch-config"])
+def test_negative_seed_exits_2(tmp_path, capsys, argv, message):
+    cloud = gen_square(tmp_path)
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nseed = -1\n", encoding="utf-8")
+    paths = {"CLOUD": str(cloud), "CONFIG": str(config), "OUT": str(tmp_path)}
+    capsys.readouterr()
+    assert main([paths.get(arg, arg) for arg in argv] + ["--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_decide_missing_cloud_exits_2(tmp_path, capsys):
     code = main(["decide", str(tmp_path / "nope.pcd")])
     err = capsys.readouterr().err

@@ -90,6 +90,12 @@ def test_rigid_transform_validation():
         RigidTransform(rotation=reflection, translation=np.zeros(3))
 
 
+@pytest.mark.parametrize("angles", [(math.inf, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, -math.inf)])
+def test_euler_transform_rejects_non_finite_angles(angles):
+    with pytest.raises(DomainError, match="Euler angles must be finite"):
+        RigidTransform.from_euler_zyx(*angles)
+
+
 def test_rigid_transform_apply_and_compose():
     rng = np.random.default_rng(7)
     a = RigidTransform.from_euler_zyx(0.3, -0.2, 0.9, translation=(1.0, -2.0, 0.5))

@@ -158,6 +158,14 @@ def test_bad_integer_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", ["-1", "-7919"])
+def test_negative_seed_rejected_at_load(tmp_path, text):
+    with pytest.raises(ConfigError, match=r"\[run\] seed: must be a non-negative integer"):
+        load_config(write(tmp_path, f"[run]\nseed = {text}\n"))
+    with pytest.raises(ConfigError, match=r"\[run\] seed"):
+        load_config(None, {("run", "seed"): text})
+
+
 def test_bad_waypoint_arity_rejected(tmp_path):
     path = write(tmp_path, "[drive]\nwaypoints = 1 2 3 4\n")
     with pytest.raises(ConfigError, match="x y"):

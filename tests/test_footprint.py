@@ -44,6 +44,37 @@ def square_patch(size=0.30, pitch=0.01):
 # closest_points
 
 
+def closest_points_lexsort(points, query, count):
+    """The earlier four-key closest_points, kept as the oracle of the tie rule
+    and of the test oracles below: distance, then x, y, z, then input order."""
+    pts = np.asarray(points, dtype=np.float64)
+    q = np.asarray(query, dtype=np.float64).reshape(3)
+    d = np.linalg.norm(pts - q, axis=1)
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], d))
+    return pts[order[:count]]
+
+
+def fuzzed_rim(rng):
+    """A small point set on a coarse lattice, so exact distance ties and
+    repeated rows are common, with some zeros negated to -0.0."""
+    pts = rng.integers(-3, 4, size=(int(rng.integers(1, 40)), 3)).astype(np.float64) * 0.25
+    if rng.random() < 0.5:
+        pts[:, 2] = 0.0
+    pts[rng.random(pts.shape) < 0.3] *= -1.0
+    if rng.random() < 0.5:
+        pts = np.vstack([pts, pts[rng.integers(len(pts), size=len(pts) // 2 + 1)]])
+    return pts
+
+
+def test_closest_points_matches_the_four_key_lexsort_byte_for_byte():
+    rng = np.random.default_rng(2026)
+    for _ in range(500):
+        pts = fuzzed_rim(rng)
+        query = rng.integers(-2, 3, size=3) * 0.25 * rng.choice([1.0, -1.0], size=3)
+        count = int(rng.integers(1, len(pts) + 1))
+        assert closest_points(pts, query, count).tobytes() == closest_points_lexsort(pts, query, count).tobytes()
+
+
 def test_closest_points_full_set_is_distance_sorted():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(20, 3))
@@ -186,7 +217,7 @@ def probe_passes_one(probe, center, boundary_points, geometry):
     p = np.asarray(probe, dtype=np.float64).reshape(3)
     c = np.asarray(center, dtype=np.float64).reshape(3)
     d_r = float(np.linalg.norm(p - c))
-    neighbors = closest_points(boundary_points, p, geometry.neighbor_count)
+    neighbors = closest_points_lexsort(boundary_points, p, geometry.neighbor_count)
     d_q = float(np.linalg.norm(neighbors - c, axis=1).mean())
     if d_r < d_q:
         return True
@@ -369,14 +400,15 @@ def test_foot_geometry_validation():
 def reference_placement(boundary_points, center, normal, geometry):
     """The earlier per-candidate placement, kept as the oracle of check_placeability.
 
-    Each candidate is built with ``np.cross`` and ``np.roll`` and validated,
-    and its probes are judged against a rim sorted again for that candidate.
+    The anchors come from :func:`closest_points_lexsort`; each candidate is
+    built with ``np.cross`` and ``np.roll`` and validated, and its probes are
+    judged one at a time by :func:`probe_passes_one`.
     Returns (placeable, candidates_tried, accepted anchor, pose position,
     pose orientation), the last three None when nothing fits.
     """
     pts = np.asarray(boundary_points, dtype=np.float64)
     c = np.asarray(center, dtype=np.float64).reshape(3)
-    anchors = closest_points(pts, c, geometry.candidate_count)
+    anchors = closest_points_lexsort(pts, c, geometry.candidate_count)
     tried = 0
     for a in anchors:
         tried += 1
@@ -399,15 +431,7 @@ def reference_placement(boundary_points, center, normal, geometry):
         probes = np.vstack([corners, 0.5 * (corners + np.roll(corners, -1, axis=0))])
         check_rotation(frame, "candidate frame")
         inward = 0.25 * geometry.length * frame[:, 0]
-        moved = probes - inward
-        rim = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
-        d = np.linalg.norm(rim - moved[:, None, :], axis=2)
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :geometry.neighbor_count]
-        d_q = np.linalg.norm(rim - c, axis=1)[nearest].mean(axis=1)
-        d_r = np.linalg.norm(moved - c, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            passes = (d_r < d_q) | ((d_r > 0) & ((d_r - d_q) / d_r < geometry.tolerance))
-        if passes.all():
+        if all(probe_passes_one(p, c, pts, geometry) for p in probes - inward):
             return True, tried, a, probes.mean(axis=0) - inward, frame
     return False, tried, None, None, None
 

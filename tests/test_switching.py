@@ -203,6 +203,21 @@ def test_decide_narrow_strip_rejects_foot():
     assert decision.diagnostics.accepted_candidate is None
 
 
+def test_decide_skips_placement_exactly_when_the_rim_is_too_small():
+    placed = decide(square_cloud(), small_filter())
+    rim = placed.diagnostics.boundary_count
+    for foot in (FootGeometry(candidate_count=rim + 1), FootGeometry(neighbor_count=rim + 1)):
+        decision = decide(square_cloud(), small_filter(), foot=foot)
+        assert (decision.plane_ok, decision.area_ok, decision.height_ok) == (True, False, True)
+        assert decision.pose is None and decision.transformation is Transformation.INCH_WORM
+        assert decision.diagnostics.boundary_count == rim
+        assert decision.diagnostics.accepted_candidate is None
+        assert decision.diagnostics.height_delta == placed.diagnostics.height_delta
+    # a rim of exactly the needed size is placed on
+    decision = decide(square_cloud(), small_filter(), foot=FootGeometry(candidate_count=rim))
+    assert decision_to_json(decision) == decision_to_json(placed)
+
+
 def test_decide_is_deterministic():
     cloud = square_cloud()
     a = decision_to_json(decide(cloud, small_filter(), seed=7))

@@ -1,5 +1,7 @@
 """Tests for the synthetic cloud generator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,22 @@ def test_spec_validation():
         SyntheticCloudSpec(outlier_fraction=1.0)
     with pytest.raises(DomainError):
         SyntheticCloudSpec(hole_size=0.0)
+
+
+@pytest.mark.parametrize("field", ["size_x", "size_y", "pitch", "noise_sigma", "hole_size"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_values(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        SyntheticCloudSpec(**{field: value})
+
+
+def test_spec_rejects_a_grid_too_large_to_index():
+    with pytest.raises(DomainError, match="too large to index"):
+        SyntheticCloudSpec(size_x=1e308, size_y=1e308, pitch=1e-3)
+    with pytest.raises(DomainError, match="too large to index"):
+        SyntheticCloudSpec(pitch=1e-300)
+    with pytest.raises(DomainError, match="too large to index"):
+        SyntheticCloudSpec(outlier_fraction=1.0 - 2.0 ** -53)
 
 
 def test_shape_accepts_plain_strings():
