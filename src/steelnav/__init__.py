@@ -6,147 +6,9 @@ test whether the robot's foot rectangle fits, compare the patch height with
 the robot base, and pick the wheeled (mobile) or stepping (inch-worm)
 transformation.  Companion simulators close the loop for path tracking,
 magnet gap control, and the inch-worm jump sequence.
+
+Each public name is imported from the module that defines it, for example
+``from steelnav.switching import decide``.
 """
 
-from .boundary import BoundaryEstimate, directed_hausdorff, estimate_boundary
-from .cloud import (
-    FilterConfig,
-    Frame,
-    PlanarPatch,
-    PointCloud,
-    RigidTransform,
-    load_cloud,
-    passthrough,
-    ransac_plane,
-    save_cloud,
-    voxel_downsample,
-)
-from .drive import (
-    DriveGains,
-    Pose2D,
-    TrackingError,
-    TrackResult,
-    error_rate,
-    simulate_track,
-    tracking_error,
-    trace_to_csv,
-    wrap_angle,
-)
-from .actuate import (
-    CANONICAL_JUMP_SEQUENCE,
-    DEFAULT_MAGNET_GAINS,
-    InchwormPhase,
-    InchwormState,
-    JumpEvent,
-    JumpPlanConfig,
-    MagnetArrayState,
-    MagnetMode,
-    MagnetPlant,
-    inchworm_step,
-    initial_jump_state,
-    plan_jump_trajectory,
-    run_jump_sequence,
-    simulate_magnet,
-)
-from .errors import (
-    ConfigError,
-    DegenerateAnchorError,
-    DomainError,
-    NavError,
-    ParseError,
-    TrajectoryError,
-    TransitionError,
-)
-from .footprint import (
-    CandidateRectangle,
-    FootGeometry,
-    FootPose,
-    PlacementReport,
-    build_candidate,
-    check_placeability,
-    closest_points,
-)
-from .pid import PIDGains, PIDState, pid_step
-from .switching import (
-    HeightConfig,
-    SwitchDecision,
-    Transformation,
-    decide,
-    decision_to_dict,
-    decision_to_json,
-    height_availability,
-    plane_availability,
-    switching_function,
-)
-from .synth import CloudShape, SyntheticCloudSpec, generate_cloud, surface_grid
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundaryEstimate",
-    "CANONICAL_JUMP_SEQUENCE",
-    "CandidateRectangle",
-    "CloudShape",
-    "ConfigError",
-    "DEFAULT_MAGNET_GAINS",
-    "DegenerateAnchorError",
-    "DomainError",
-    "DriveGains",
-    "FilterConfig",
-    "FootGeometry",
-    "FootPose",
-    "Frame",
-    "HeightConfig",
-    "InchwormPhase",
-    "InchwormState",
-    "JumpEvent",
-    "JumpPlanConfig",
-    "MagnetArrayState",
-    "MagnetMode",
-    "MagnetPlant",
-    "NavError",
-    "PIDGains",
-    "PIDState",
-    "ParseError",
-    "PlacementReport",
-    "PlanarPatch",
-    "PointCloud",
-    "Pose2D",
-    "RigidTransform",
-    "SwitchDecision",
-    "SyntheticCloudSpec",
-    "TrackResult",
-    "TrackingError",
-    "TrajectoryError",
-    "Transformation",
-    "TransitionError",
-    "build_candidate",
-    "check_placeability",
-    "closest_points",
-    "decide",
-    "decision_to_dict",
-    "decision_to_json",
-    "directed_hausdorff",
-    "error_rate",
-    "estimate_boundary",
-    "generate_cloud",
-    "height_availability",
-    "inchworm_step",
-    "initial_jump_state",
-    "load_cloud",
-    "passthrough",
-    "pid_step",
-    "plan_jump_trajectory",
-    "plane_availability",
-    "ransac_plane",
-    "run_jump_sequence",
-    "save_cloud",
-    "simulate_magnet",
-    "simulate_track",
-    "surface_grid",
-    "switching_function",
-    "trace_to_csv",
-    "tracking_error",
-    "voxel_downsample",
-    "wrap_angle",
-]

@@ -12,6 +12,7 @@ wheeled configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -56,7 +57,7 @@ class MagnetArrayState:
     controller: PIDState = field(default_factory=PIDState)
 
     def __post_init__(self):
-        if self.gap_left < 0 or self.gap_right < 0:
+        if not (self.gap_left >= 0 and self.gap_right >= 0):
             raise DomainError("magnet gaps cannot be negative")
         _check_command(self.command)
 
@@ -75,10 +76,12 @@ class MagnetPlant:
     disturbance: float = 0.0
 
     def __post_init__(self):
-        if self.time_constant <= 0:
+        if not self.time_constant > 0:
             raise DomainError("plant time constant must be positive")
-        if self.speed_gain <= 0:
+        if not self.speed_gain > 0:
             raise DomainError("plant speed gain must be positive")
+        if not math.isfinite(self.disturbance):
+            raise DomainError("plant disturbance must be finite")
 
 
 def _check_command(command: float) -> None:
@@ -155,14 +158,16 @@ def simulate_magnet(
     a side reaching contact sticks there with its closing rate absorbed.  A
     PID output outside [-1, 1] raises :class:`DomainError` at its step.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise DomainError("dt must be positive")
-    if duration <= 0:
+    if not duration > 0:
         raise DomainError("duration must be positive")
+    if not math.isfinite(trim_gain):
+        raise DomainError("trim gain must be finite")
     mode = MagnetMode.TOUCHED if setpoint == TOUCHED_GAP_MM else MagnetMode.UNTOUCHED
     state = MagnetArrayState(mode=mode, gap_left=initial_left, gap_right=initial_right)
     steps = step_count(duration, dt, "duration")
-    if setpoint < 0:
+    if not setpoint >= 0:
         raise DomainError("gap setpoint cannot be negative")
 
     # The loop runs on plain floats; the plant keeps the gaps at or above
@@ -294,14 +299,8 @@ def inchworm_step(state: InchwormState, event: JumpEvent) -> InchwormState:
     return replace(state, phase=next_phase, magnet1=magnet1, magnet2=magnet2)
 
 
-CANONICAL_JUMP_SEQUENCE = (
-    JumpEvent.LOWER_BASE_MAGNET,
-    JumpEvent.REACH_CONVENIENT_POSE,
-    JumpEvent.FOOT1_CONTACT,
-    JumpEvent.SWAP_MAGNETS,
-    JumpEvent.FOOT2_CONTACT,
-    JumpEvent.REFORM,
-)
+# The one event each phase accepts, in traversal order: a full jump.
+CANONICAL_JUMP_SEQUENCE = tuple(event for event, *_ in _TRANSITIONS.values())
 
 
 def run_jump_sequence(state: InchwormState, events: Sequence[JumpEvent]) -> tuple[InchwormState, list[dict]]:
@@ -355,6 +354,8 @@ class JumpPlanConfig:
     def __post_init__(self):
         for name, shape in (("convenient_joints", 6), ("target_joints", 6), ("joint_limits", (6, 2))):
             object.__setattr__(self, name, frozen_array(getattr(self, name), shape))
+        if not (np.isfinite(self.convenient_joints).all() and np.isfinite(self.target_joints).all()):
+            raise DomainError("joint angles must be finite")
         if not (self.joint_limits[:, 0] < self.joint_limits[:, 1]).all():
             raise DomainError("joint limits must satisfy low < high per joint")
 

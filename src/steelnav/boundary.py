@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PlanarPatch, PointCloud, frozen_array
+from .cloud import PlanarPatch, PointCloud, _point_rows, frozen_array
 from .errors import DomainError
 
 DEFAULT_SLICE_WIDTH = 0.02  # meters
@@ -29,10 +29,7 @@ class BoundaryEstimate:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise DomainError("boundary points must form an (M, 3) array")
-        object.__setattr__(self, "points", frozen_array(pts))
+        object.__setattr__(self, "points", frozen_array(_point_rows(self.points, "boundary points")))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -54,7 +51,7 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = DEFAULT_SLICE_WID
     across axes and windows (``-0.0`` equals ``0.0``) are kept once, in
     first-seen order (axis-major, window-minor).
     """
-    if slice_width <= 0:
+    if not slice_width > 0:
         raise DomainError("slice_width must be positive")
     cloud: PointCloud = patch.inliers
     if cloud.is_empty:

@@ -81,13 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rot-roll", type=float, default=0.0, help="pose roll, radians")
     gen.add_argument("--seed", default="0", help="seed of the noise and outlier draws")
     gen.add_argument("--out", required=True, help="output cloud file path")
+    gen.set_defaults(handler=_cmd_gen)
 
     dec = sub.add_parser("decide", help="run the cloud-to-transformation decision")
     dec.add_argument("cloud", help="input cloud file (ascii PCD subset)")
     _add_config_flags(dec, DECIDE_FLAGS + (SEED_FLAG,))
     dec.add_argument("--out", default=None, help="also write the decision JSON here")
+    dec.set_defaults(handler=_cmd_decide)
 
     sim = sub.add_parser("simulate", help="run a closed-loop simulator")
+    sim.set_defaults(handler=_cmd_simulate)
     sim_sub = sim.add_subparsers(dest="simulator", required=True)
     for name, help_text in (
         ("track", "path-tracking drive loop"),
@@ -102,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("indir", help="directory of .pcd cloud files")
     _add_config_flags(bat, (SEED_FLAG,))
     bat.add_argument("--out", required=True, help="output directory for per-file decision JSON")
+    bat.set_defaults(handler=_cmd_batch)
     return parser
 
 
@@ -235,15 +239,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep its code
         return int(exc.code or 0)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "decide":
-            return _cmd_decide(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "batch":
-            return _cmd_batch(args)
-        raise NavError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (NavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

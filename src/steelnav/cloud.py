@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -40,10 +41,21 @@ def frozen_array(values, shape=None) -> np.ndarray:
 def check_rotation(rot: np.ndarray, subject: str) -> None:
     """Raise DomainError unless the 3x3 ``rot`` is orthonormal with
     determinant +1; ``subject`` names it in the message."""
-    if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
+    if not np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9:
         raise DomainError(f"{subject} must be orthonormal")
-    if abs(np.linalg.det(rot) - 1.0) > 1e-9:
+    if not abs(np.linalg.det(rot) - 1.0) <= 1e-9:
         raise DomainError(f"{subject} must be right-handed (determinant +1)")
+
+
+def _check_seed(seed) -> None:
+    """Raise DomainError unless ``seed`` is an integer (a numpy integer
+    included) of at least 0, the seeds numpy's generators take."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    if value < 0:
+        raise DomainError(f"seed must be non-negative, got {value}")
 
 
 def _vec3(v, what: str = "vector") -> np.ndarray:
@@ -182,13 +194,13 @@ class FilterConfig:
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):
             if not lo < hi:
                 raise DomainError(f"{name}_range must satisfy min < max")
-        if self.voxel_leaf <= 0:
+        if not self.voxel_leaf > 0:
             raise DomainError("voxel_leaf must be positive")
-        if self.ransac_threshold <= 0:
+        if not self.ransac_threshold > 0:
             raise DomainError("ransac_threshold must be positive")
-        if self.ransac_iterations < 1:
+        if not self.ransac_iterations >= 1:
             raise DomainError("ransac_iterations must be at least 1")
-        if self.min_inlier_count < 1:
+        if not self.min_inlier_count >= 1:
             raise DomainError("min_inlier_count must be at least 1")
 
 
@@ -442,8 +454,10 @@ def ransac_plane(cloud: PointCloud, cfg: FilterConfig, seed: int) -> Optional[Pl
     Returns ``None`` when the cloud has fewer than 3 points or the best
     inlier count falls below ``cfg.min_inlier_count``; a missing plane is a
     decision, not an error.  Identical (cloud, cfg, seed) always produce an
-    identical patch.
+    identical patch.  A ``seed`` that is not an integer of at least 0 raises
+    :class:`DomainError`.
     """
+    _check_seed(seed)
     n = len(cloud)
     if n < 3:
         return None

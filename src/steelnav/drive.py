@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .cloud import _check_seed
 from .errors import DomainError
 from .pid import PIDGains, _pid, step_count
 
@@ -201,20 +202,22 @@ def simulate_track(
     approach segment.  ``v_ref`` caps the commanded speed.  ``noise_sigma``
     (non-negative) adds Gaussian position/heading measurement noise; the
     default 0 turns it off.  Running out of horizon is reported through
-    ``converged``, not an exception.
+    ``converged``, not an exception.  A ``noise_seed`` that is not an integer
+    of at least 0 raises :class:`DomainError`, the noise on or off.
     """
     if len(waypoints) < 1:
         raise DomainError("at least one waypoint is required")
     if not 0 < dt <= 0.1:
         raise DomainError("dt must lie in (0, 0.1]")
-    if horizon <= 0:
+    if not horizon > 0:
         raise DomainError("horizon must be positive")
-    if accept_radius <= 0:
+    if not accept_radius > 0:
         raise DomainError("accept_radius must be positive")
-    if v_ref <= 0:
+    if not v_ref > 0:
         raise DomainError("v_ref must be positive")
     if not noise_sigma >= 0:
         raise DomainError("noise_sigma must be non-negative")
+    _check_seed(noise_seed)
 
     targets = [(ref.x, ref.y, ref.phi) for ref in _reference_poses(start, waypoints)]
     max_steps = step_count(horizon, dt, "horizon")
@@ -235,7 +238,7 @@ def simulate_track(
     for _ in range(max_steps):
         while wp_index < len(targets):
             tx, ty, tphi = targets[wp_index]
-            if not math.hypot(tx - x, ty - y) <= accept_radius:  # a NaN radius accepts nothing
+            if math.hypot(tx - x, ty - y) > accept_radius:
                 break
             wp_index += 1
         else:

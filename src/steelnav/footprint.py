@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import check_rotation, frozen_array
+from .cloud import _point_rows, _vec3, check_rotation, frozen_array
 from .errors import DegenerateAnchorError, DomainError
 
 
@@ -40,13 +40,13 @@ class FootGeometry:
     neighbor_count: int = 3
 
     def __post_init__(self):
-        if self.width <= 0 or self.length <= 0:
+        if not (self.width > 0 and self.length > 0):
             raise DomainError("foot width and length must be positive")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise DomainError("tolerance must be positive")
-        if self.candidate_count < 1:
+        if not self.candidate_count >= 1:
             raise DomainError("candidate_count must be at least 1")
-        if self.neighbor_count < 1:
+        if not self.neighbor_count >= 1:
             raise DomainError("neighbor_count must be at least 1")
 
 
@@ -116,16 +116,15 @@ def closest_points(points: np.ndarray, query, count: int) -> np.ndarray:
     """The ``count`` points nearest ``query``, ascending by distance.
 
     Exact distance ties fall back to lexicographic point order so the
-    selection never depends on input ordering.
+    selection never depends on input ordering.  Points and query must be
+    finite.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DomainError("points must form an (M, 3) array")
+    pts = _point_rows(points)
     if count < 1:
         raise DomainError("count must be at least 1")
     if len(pts) < count:
         raise DomainError(f"point set has {len(pts)} points, need {count}")
-    rim, d = _sorted_rim(pts, np.asarray(query, dtype=np.float64).reshape(3))
+    rim, d = _sorted_rim(pts, _vec3(query, "query"))
     return rim[_nearest(d, count)]
 
 
@@ -136,11 +135,20 @@ def build_candidate(anchor, center, normal, geometry: FootGeometry) -> Candidate
     the plane so the frame stays orthonormal on noisy patches); the anchor
     sits at the midpoint of the rectangle's outer edge and the body extends
     inward by the foot length.  Raises :class:`DegenerateAnchorError` when
-    the anchor is too close to the center to define a direction.
+    the anchor is too close to the center to define a direction, and
+    :class:`DomainError` for a non-finite input or a zero normal.
     """
-    a, c, n = (np.asarray(v, dtype=np.float64).reshape(3) for v in (anchor, center, normal))
-    frame, probes = _frame_and_probes(a, c, n, geometry)
+    frame, probes = _frame_and_probes(_vec3(anchor, "anchor"), _vec3(center, "center"), _normal(normal), geometry)
     return CandidateRectangle(frame=frame, corners=probes[:4], midpoints=probes[4:])
+
+
+def _normal(normal) -> np.ndarray:
+    """``normal`` as a finite (3,) array whose norm, as
+    :func:`_frame_and_probes` takes it, is not 0."""
+    n = _vec3(normal, "normal")
+    if not np.linalg.norm(n) > 0:
+        raise DomainError("normal must be non-zero")
+    return n
 
 
 def _frame_and_probes(anchor: np.ndarray, center: np.ndarray, normal: np.ndarray, geometry: FootGeometry):
@@ -182,11 +190,9 @@ def probe_passes(probes, center, boundary_points: np.ndarray, geometry: FootGeom
     pass: the boundary is sorted lexicographically once, so a stable sort of
     each probe's distances breaks exact ties in (x, y, z) order.
     """
-    p = np.asarray(probes, dtype=np.float64).reshape(-1, 3)
-    c = np.asarray(center, dtype=np.float64).reshape(3)
-    rim = np.asarray(boundary_points, dtype=np.float64)
-    if rim.ndim != 2 or rim.shape[1] != 3:
-        raise DomainError("boundary_points must form an (M, 3) array")
+    p = _point_rows(probes, "probes")
+    c = _vec3(center, "center")
+    rim = _point_rows(boundary_points, "boundary_points")
     if len(rim) < geometry.neighbor_count:
         raise DomainError(f"boundary has {len(rim)} points, need {geometry.neighbor_count}")
     return _judge(p, c, *_sorted_rim(rim, c), geometry)
@@ -232,20 +238,19 @@ def check_placeability(boundary_points, center, normal, geometry: FootGeometry =
     outward direction undefined are skipped.  Raises a domain error when the
     boundary is too small for the configured counts; returns a rejected
     report when no candidate fits, which is a decision rather than an error.
+    Non-finite inputs and a zero normal are domain errors too.
 
     The boundary is sorted once per call and only the winner becomes a
     validated :class:`FootPose`; every anchor, verdict and pose has the bits
     of :func:`closest_points`, :func:`build_candidate` and
     :func:`probe_passes`.
     """
-    pts = np.asarray(boundary_points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DomainError("boundary_points must form an (M, 3) array")
+    pts = _point_rows(boundary_points, "boundary_points")
     if len(pts) < _min_rim(geometry):
         raise DomainError(f"boundary has {len(pts)} points, need at least {_min_rim(geometry)}")
 
-    c = np.asarray(center, dtype=np.float64).reshape(3)
-    n = np.asarray(normal, dtype=np.float64).reshape(3)
+    c = _vec3(center, "center")
+    n = _normal(normal)
     rim, reach = _sorted_rim(pts, c)
     anchors = rim[_nearest(reach, geometry.candidate_count)]
     for tried, anchor in enumerate(anchors, start=1):

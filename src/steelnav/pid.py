@@ -33,11 +33,11 @@ class PIDGains:
     int_limit: float
 
     def __post_init__(self):
-        if self.kp < 0 or self.ki < 0 or self.kd < 0:
+        if not (self.kp >= 0 and self.ki >= 0 and self.kd >= 0):
             raise DomainError("PID gains must be non-negative")
-        if self.out_limit <= 0:
+        if not self.out_limit > 0:
             raise DomainError("output saturation limit must be positive")
-        if self.int_limit <= 0:
+        if not self.int_limit > 0:
             raise DomainError("integrator clamp must be positive")
 
 
@@ -58,7 +58,7 @@ def pid_step(error: float, gains: PIDGains, dt: float, state: PIDState) -> tuple
     (conditional integration), so a long saturated transient does not wind up
     the integrator.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise DomainError("dt must be positive")
     out, integral = _pid(error, gains, dt, state.integral, state.prev_error)
     return out, PIDState(integral, error)

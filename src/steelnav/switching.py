@@ -10,6 +10,7 @@ otherwise it reconfigures into the inch-worm transformation and steps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -44,7 +45,9 @@ class HeightConfig:
     camera_to_base: RigidTransform = RigidTransform.identity()
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not math.isfinite(self.base_height):
+            raise DomainError("base height must be finite")
+        if not self.tolerance > 0:
             raise DomainError("height tolerance must be positive")
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cloud import Frame, PointCloud, RigidTransform
+from .cloud import Frame, PointCloud, RigidTransform, _check_seed
 from .errors import DomainError
 
 _EDGE_EPS = 1e-9
@@ -109,8 +109,10 @@ def generate_cloud(spec: SyntheticCloudSpec, seed: int = 0) -> PointCloud:
     """Sample the spec into a camera-frame cloud.
 
     Surface points come first in grid order, appended outliers last, so the
-    outlier tail is easy to separate in tests.
+    outlier tail is easy to separate in tests.  A ``seed`` that is not an
+    integer of at least 0 raises :class:`DomainError`.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     surface = surface_grid(spec)
     if spec.noise_sigma > 0:

@@ -511,3 +511,36 @@ def test_placement_skips_anchors_at_the_centre_and_on_the_normal(normal):
     assert report.placeable and report.candidates_tried == 3
     none = assert_places_like_the_oracle(rim, center, normal, FootGeometry(candidate_count=2))
     assert not none.placeable and none.candidates_tried == 2
+
+
+def _nan_rows(points):
+    out = np.array(points, dtype=float)
+    out[::2] = np.nan
+    return out
+
+
+def _square_rim():
+    patch = square_patch()
+    return estimate_boundary(patch, 0.02).points, patch.centroid, patch.normal
+
+
+@pytest.mark.filterwarnings("error")  # a zero normal once divided by zero on its way to "does not fit"
+@pytest.mark.parametrize("call", [
+    lambda rim, c, n: check_placeability(_nan_rows(rim), c, n),
+    lambda rim, c, n: check_placeability(rim, [np.nan, 0.0, 0.0], n),
+    lambda rim, c, n: check_placeability(rim, c, [0.0, np.inf, 1.0]),
+    lambda rim, c, n: check_placeability(rim, c, [0.0, 0.0, 0.0]),
+    lambda rim, c, n: closest_points(_nan_rows(rim), c, 3),
+    lambda rim, c, n: closest_points(rim, [np.nan, 0.0, 0.0], 3),
+    lambda rim, c, n: probe_passes(rim[:4], c, _nan_rows(rim), FootGeometry()),
+    lambda rim, c, n: probe_passes(_nan_rows(rim[:4]), c, rim, FootGeometry()),
+    lambda rim, c, n: build_candidate(rim[0], c, [0.0, 0.0, 0.0], FootGeometry()),
+    lambda rim, c, n: build_candidate([np.nan, 0.0, 0.0], c, n, FootGeometry()),
+], ids=["place-nan-rim", "place-nan-center", "place-inf-normal", "place-zero-normal", "closest-nan-points",
+        "closest-nan-query", "probe-nan-rim", "probe-nan-probe", "candidate-zero-normal", "candidate-nan-anchor"])
+def test_non_finite_points_and_a_zero_normal_are_domain_errors(call):
+    # on the 0.30 m square's rim, NaN rows once read "fits" or were skipped
+    rim, center, normal = _square_rim()
+    assert check_placeability(rim, center, normal).placeable
+    with pytest.raises(DomainError):
+        call(rim, center, normal)
