@@ -12,7 +12,6 @@ wheeled configuration.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -21,6 +20,7 @@ import numpy as np
 
 from .cloud import frozen_array
 from .errors import DomainError, TransitionError, TrajectoryError
+from .errors import check_count, check_finite, check_non_negative, check_positive
 from .footprint import FootPose
 from .pid import PIDGains, PIDState, _pid, step_count
 
@@ -57,8 +57,7 @@ class MagnetArrayState:
     controller: PIDState = field(default_factory=PIDState)
 
     def __post_init__(self):
-        if not (self.gap_left >= 0 and self.gap_right >= 0):
-            raise DomainError("magnet gaps cannot be negative")
+        check_non_negative("magnet gaps", self.gap_left, self.gap_right)
         _check_command(self.command)
 
 
@@ -76,12 +75,9 @@ class MagnetPlant:
     disturbance: float = 0.0
 
     def __post_init__(self):
-        if not self.time_constant > 0:
-            raise DomainError("plant time constant must be positive")
-        if not self.speed_gain > 0:
-            raise DomainError("plant speed gain must be positive")
-        if not math.isfinite(self.disturbance):
-            raise DomainError("plant disturbance must be finite")
+        check_positive("plant time constant", self.time_constant)
+        check_positive("plant speed gain", self.speed_gain)
+        check_finite("plant disturbance", self.disturbance)
 
 
 def _check_command(command: float) -> None:
@@ -158,17 +154,13 @@ def simulate_magnet(
     a side reaching contact sticks there with its closing rate absorbed.  A
     PID output outside [-1, 1] raises :class:`DomainError` at its step.
     """
-    if not dt > 0:
-        raise DomainError("dt must be positive")
-    if not duration > 0:
-        raise DomainError("duration must be positive")
-    if not math.isfinite(trim_gain):
-        raise DomainError("trim gain must be finite")
+    check_positive("dt", dt)
+    check_positive("duration", duration)
+    check_finite("trim gain", trim_gain)
     mode = MagnetMode.TOUCHED if setpoint == TOUCHED_GAP_MM else MagnetMode.UNTOUCHED
     state = MagnetArrayState(mode=mode, gap_left=initial_left, gap_right=initial_right)
     steps = step_count(duration, dt, "duration")
-    if not setpoint >= 0:
-        raise DomainError("gap setpoint cannot be negative")
+    check_non_negative("gap setpoint", setpoint)
 
     # The loop runs on plain floats; the plant keeps the gaps at or above
     # contact, so only the command needs checking on the way.
@@ -354,8 +346,7 @@ class JumpPlanConfig:
     def __post_init__(self):
         for name, shape in (("convenient_joints", 6), ("target_joints", 6), ("joint_limits", (6, 2))):
             object.__setattr__(self, name, frozen_array(getattr(self, name), shape))
-        if not (np.isfinite(self.convenient_joints).all() and np.isfinite(self.target_joints).all()):
-            raise DomainError("joint angles must be finite")
+        check_finite("joint angles", *self.convenient_joints, *self.target_joints)
         if not (self.joint_limits[:, 0] < self.joint_limits[:, 1]).all():
             raise DomainError("joint limits must satisfy low < high per joint")
 
@@ -378,11 +369,9 @@ def plan_jump_trajectory(
     the plan.  Any row outside the joint limits raises
     :class:`TrajectoryError`.
     """
-    if steps < 2:
-        raise DomainError("steps must be at least 2")
+    check_count("steps", steps, 2)
     start = np.asarray(from_joints, dtype=np.float64).reshape(6)
-    if not np.isfinite(start).all():
-        raise DomainError("joint angles must be finite")
+    check_finite("joint angles", *start)
 
     leg1 = np.linspace(start, plan.convenient_joints, steps)
     leg2 = np.linspace(plan.convenient_joints, plan.target_joints, steps)

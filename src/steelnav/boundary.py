@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PlanarPatch, PointCloud, _point_rows, frozen_array
-from .errors import DomainError
+from .errors import DomainError, check_positive
 
 DEFAULT_SLICE_WIDTH = 0.02  # meters
 
@@ -51,8 +51,7 @@ def estimate_boundary(patch: PlanarPatch, slice_width: float = DEFAULT_SLICE_WID
     across axes and windows (``-0.0`` equals ``0.0``) are kept once, in
     first-seen order (axis-major, window-minor).
     """
-    if not slice_width > 0:
-        raise DomainError("slice_width must be positive")
+    check_positive("slice_width", slice_width)
     cloud: PointCloud = patch.inliers
     if cloud.is_empty:
         raise DomainError("cannot estimate the boundary of an empty patch")

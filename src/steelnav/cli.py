@@ -90,16 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     dec.set_defaults(handler=_cmd_decide)
 
     sim = sub.add_parser("simulate", help="run a closed-loop simulator")
-    sim.set_defaults(handler=_cmd_simulate)
     sim_sub = sim.add_subparsers(dest="simulator", required=True)
-    for name, help_text in (
-        ("track", "path-tracking drive loop"),
-        ("magnet", "magnet gap control loop"),
-        ("jump", "inch-worm jump state machine and trajectory"),
+    for name, help_text, handler in (
+        ("track", "path-tracking drive loop", _cmd_track),
+        ("magnet", "magnet gap control loop", _cmd_magnet),
+        ("jump", "inch-worm jump state machine and trajectory", _cmd_jump),
     ):
         s = sim_sub.add_parser(name, help=help_text)
         _add_config_flags(s, (SEED_FLAG,))
         s.add_argument("--out", default=None, help="output directory for trace files")
+        s.set_defaults(handler=handler)
 
     bat = sub.add_parser("batch", help="decide over every cloud file in a directory")
     bat.add_argument("indir", help="directory of .pcd cloud files")
@@ -175,33 +175,38 @@ def _out_dir(arg: Optional[str]) -> Path:
     return out
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_track(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _out_dir(args.out)
+    result = simulate_track(**vars(cfg.drive), noise_seed=cfg.seed)
+    (out / "track_trace.csv").write_text(trace_to_csv(result), encoding="ascii")
+    final_err = result.rows[-1].error.distance if result.rows else 0.0
+    print(
+        f"converged={str(result.converged).lower()} "
+        f"waypoints={result.waypoints_reached}/{len(cfg.drive.waypoints)} "
+        f"steps={len(result.rows)} final_error={final_err:.9g}"
+    )
+    return 0
 
-    if args.simulator == "track":
-        result = simulate_track(**vars(cfg.drive), noise_seed=cfg.seed)
-        (out / "track_trace.csv").write_text(trace_to_csv(result), encoding="ascii")
-        final_err = result.rows[-1].error.distance if result.rows else 0.0
-        print(
-            f"converged={str(result.converged).lower()} "
-            f"waypoints={result.waypoints_reached}/{len(cfg.drive.waypoints)} "
-            f"steps={len(result.rows)} final_error={final_err:.9g}"
-        )
-        return 0
 
-    if args.simulator == "magnet":
-        trace = simulate_magnet(**vars(cfg.magnet))
-        (out / "magnet_trace.csv").write_text(magnet_trace_to_csv(trace), encoding="ascii")
-        final = trace.final_state
-        final_err = max(abs(final.gap_left - trace.setpoint), abs(final.gap_right - trace.setpoint))
-        settle = f"{trace.settle_time:.9g}" if trace.settle_time is not None else "never"
-        print(
-            f"settled={str(trace.settled).lower()} settle_time={settle} "
-            f"steps={len(trace.rows)} final_error_mm={final_err:.9g}"
-        )
-        return 0
+def _cmd_magnet(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
+    out = _out_dir(args.out)
+    trace = simulate_magnet(**vars(cfg.magnet))
+    (out / "magnet_trace.csv").write_text(magnet_trace_to_csv(trace), encoding="ascii")
+    final = trace.final_state
+    final_err = max(abs(final.gap_left - trace.setpoint), abs(final.gap_right - trace.setpoint))
+    settle = f"{trace.settle_time:.9g}" if trace.settle_time is not None else "never"
+    print(
+        f"settled={str(trace.settled).lower()} settle_time={settle} "
+        f"steps={len(trace.rows)} final_error_mm={final_err:.9g}"
+    )
+    return 0
 
+
+def _cmd_jump(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
+    out = _out_dir(args.out)
     jp = cfg.jump
     state, rows = run_jump_sequence(initial_jump_state(), jp.events)
     (out / "jump_trace.jsonl").write_text(jump_trace_to_jsonl(rows), encoding="ascii")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import BinaryIO, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, check_count, check_finite, check_positive
 
 PathLike = Union[str, Path]
 
@@ -45,17 +44,6 @@ def check_rotation(rot: np.ndarray, subject: str) -> None:
         raise DomainError(f"{subject} must be orthonormal")
     if not abs(np.linalg.det(rot) - 1.0) <= 1e-9:
         raise DomainError(f"{subject} must be right-handed (determinant +1)")
-
-
-def _check_seed(seed) -> None:
-    """Raise DomainError unless ``seed`` is an integer (a numpy integer
-    included) of at least 0, the seeds numpy's generators take."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise DomainError(f"seed must be an integer, got {seed!r}") from None
-    if value < 0:
-        raise DomainError(f"seed must be non-negative, got {value}")
 
 
 def _vec3(v, what: str = "vector") -> np.ndarray:
@@ -157,8 +145,7 @@ class RigidTransform:
     @classmethod
     def from_euler_zyx(cls, yaw: float, pitch: float, roll: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
         """Build from intrinsic z-y-x Euler angles in radians."""
-        if not all(math.isfinite(a) for a in (yaw, pitch, roll)):
-            raise DomainError(f"Euler angles must be finite, got yaw={yaw} pitch={pitch} roll={roll}")
+        check_finite("Euler angles", yaw, pitch, roll)
         cz, sz = math.cos(yaw), math.sin(yaw)
         cy, sy = math.cos(pitch), math.sin(pitch)
         cx, sx = math.cos(roll), math.sin(roll)
@@ -194,14 +181,10 @@ class FilterConfig:
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):
             if not lo < hi:
                 raise DomainError(f"{name}_range must satisfy min < max")
-        if not self.voxel_leaf > 0:
-            raise DomainError("voxel_leaf must be positive")
-        if not self.ransac_threshold > 0:
-            raise DomainError("ransac_threshold must be positive")
-        if not self.ransac_iterations >= 1:
-            raise DomainError("ransac_iterations must be at least 1")
-        if not self.min_inlier_count >= 1:
-            raise DomainError("min_inlier_count must be at least 1")
+        check_positive("voxel_leaf", self.voxel_leaf)
+        check_positive("ransac_threshold", self.ransac_threshold)
+        check_count("ransac_iterations", self.ransac_iterations)
+        check_count("min_inlier_count", self.min_inlier_count)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +387,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     ``np.bincount`` sums each axis over a voxel's members in input order,
     so every centroid has the bits of a point-by-point sum in input order.
     """
-    if not leaf > 0:
-        raise DomainError("voxel leaf size must be positive")
+    check_positive("voxel leaf size", leaf)
     if cloud.is_empty:
         return cloud
     # floor(p / leaf) grows with p, so the extreme coordinates give the extreme indices.
@@ -457,7 +439,7 @@ def ransac_plane(cloud: PointCloud, cfg: FilterConfig, seed: int) -> Optional[Pl
     identical patch.  A ``seed`` that is not an integer of at least 0 raises
     :class:`DomainError`.
     """
-    _check_seed(seed)
+    check_count("seed", seed, 0)
     n = len(cloud)
     if n < 3:
         return None

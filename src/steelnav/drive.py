@@ -17,8 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cloud import _check_seed
-from .errors import DomainError
+from .errors import DomainError, check_count, check_non_negative, check_positive
 from .pid import PIDGains, _pid, step_count
 
 TAU = 2.0 * math.pi
@@ -209,15 +208,11 @@ def simulate_track(
         raise DomainError("at least one waypoint is required")
     if not 0 < dt <= 0.1:
         raise DomainError("dt must lie in (0, 0.1]")
-    if not horizon > 0:
-        raise DomainError("horizon must be positive")
-    if not accept_radius > 0:
-        raise DomainError("accept_radius must be positive")
-    if not v_ref > 0:
-        raise DomainError("v_ref must be positive")
-    if not noise_sigma >= 0:
-        raise DomainError("noise_sigma must be non-negative")
-    _check_seed(noise_seed)
+    check_positive("horizon", horizon)
+    check_positive("accept_radius", accept_radius)
+    check_positive("v_ref", v_ref)
+    check_non_negative("noise_sigma", noise_sigma)
+    check_count("seed", noise_seed, 0)
 
     targets = [(ref.x, ref.y, ref.phi) for ref in _reference_poses(start, waypoints)]
     max_steps = step_count(horizon, dt, "horizon")

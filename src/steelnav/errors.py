@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checkers of the
+scalar domain rules that raise :class:`DomainError`.
+
+Each checker names the value in its message as ``what``.  The comparisons
+are written so that NaN fails them.
+"""
+
+import math
+import operator
 
 
 class NavError(Exception):
@@ -36,3 +44,36 @@ class TrajectoryError(NavError):
 
 class ConfigError(NavError):
     """A configuration file or value is invalid."""
+
+
+def check_positive(what: str, *values) -> None:
+    """Raise DomainError unless every value is greater than 0."""
+    for value in values:
+        if not value > 0:
+            raise DomainError(f"{what} must be positive, got {value}")
+
+
+def check_non_negative(what: str, *values) -> None:
+    """Raise DomainError unless every value is at least 0."""
+    for value in values:
+        if not value >= 0:
+            raise DomainError(f"{what} must be non-negative, got {value}")
+
+
+def check_finite(what: str, *values) -> None:
+    """Raise DomainError unless every value is a finite number."""
+    for value in values:
+        if not math.isfinite(value):
+            raise DomainError(f"{what} must be finite, got {value}")
+
+
+def check_count(what: str, value, least: int = 1) -> None:
+    """Raise DomainError unless ``value`` is an integer (a numpy integer or a
+    bool included) of at least ``least``.  A seed is a count of at least 0,
+    the seeds numpy's generators take."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if number < least:
+        raise DomainError(f"{what} must be at least {least}, got {number}")

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .cloud import _point_rows, _vec3, check_rotation, frozen_array
-from .errors import DegenerateAnchorError, DomainError
+from .errors import DegenerateAnchorError, DomainError, check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,10 @@ class FootGeometry:
     neighbor_count: int = 3
 
     def __post_init__(self):
-        if not (self.width > 0 and self.length > 0):
-            raise DomainError("foot width and length must be positive")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
-        if not self.candidate_count >= 1:
-            raise DomainError("candidate_count must be at least 1")
-        if not self.neighbor_count >= 1:
-            raise DomainError("neighbor_count must be at least 1")
+        check_positive("foot width and length", self.width, self.length)
+        check_positive("tolerance", self.tolerance)
+        check_count("candidate_count", self.candidate_count)
+        check_count("neighbor_count", self.neighbor_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +116,7 @@ def closest_points(points: np.ndarray, query, count: int) -> np.ndarray:
     finite.
     """
     pts = _point_rows(points)
-    if count < 1:
-        raise DomainError("count must be at least 1")
+    check_count("count", count)
     if len(pts) < count:
         raise DomainError(f"point set has {len(pts)} points, need {count}")
     rim, d = _sorted_rim(pts, _vec3(query, "query"))

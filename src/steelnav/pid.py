@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError
+from .errors import DomainError, check_non_negative, check_positive
 
 # Most control steps one simulator run may take: a longer horizon or duration
 # is rejected before the loop starts instead of running without end.
@@ -33,12 +33,9 @@ class PIDGains:
     int_limit: float
 
     def __post_init__(self):
-        if not (self.kp >= 0 and self.ki >= 0 and self.kd >= 0):
-            raise DomainError("PID gains must be non-negative")
-        if not self.out_limit > 0:
-            raise DomainError("output saturation limit must be positive")
-        if not self.int_limit > 0:
-            raise DomainError("integrator clamp must be positive")
+        check_non_negative("PID gains", self.kp, self.ki, self.kd)
+        check_positive("output saturation limit", self.out_limit)
+        check_positive("integrator clamp", self.int_limit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,8 +55,7 @@ def pid_step(error: float, gains: PIDGains, dt: float, state: PIDState) -> tuple
     (conditional integration), so a long saturated transient does not wind up
     the integrator.
     """
-    if not dt > 0:
-        raise DomainError("dt must be positive")
+    check_positive("dt", dt)
     out, integral = _pid(error, gains, dt, state.integral, state.prev_error)
     return out, PIDState(integral, error)
 

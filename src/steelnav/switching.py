@@ -10,7 +10,6 @@ otherwise it reconfigures into the inch-worm transformation and steps.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -19,7 +18,7 @@ import numpy as np
 
 from .boundary import DEFAULT_SLICE_WIDTH, estimate_boundary
 from .cloud import FilterConfig, PlanarPatch, PointCloud, RigidTransform, passthrough, ransac_plane, voxel_downsample
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_positive
 from .footprint import FootGeometry, FootPose, _min_rim, check_placeability
 
 
@@ -45,10 +44,8 @@ class HeightConfig:
     camera_to_base: RigidTransform = RigidTransform.identity()
 
     def __post_init__(self):
-        if not math.isfinite(self.base_height):
-            raise DomainError("base height must be finite")
-        if not self.tolerance > 0:
-            raise DomainError("height tolerance must be positive")
+        check_finite("base height", self.base_height)
+        check_positive("height tolerance", self.tolerance)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,14 +8,13 @@ command rely on for byte-identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .cloud import Frame, PointCloud, RigidTransform, _check_seed
-from .errors import DomainError
+from .cloud import Frame, PointCloud, RigidTransform
+from .errors import DomainError, check_count, check_finite, check_non_negative, check_positive
 
 _EDGE_EPS = 1e-9
 # The most points an (N, 3) float64 array can hold within numpy's size limit.
@@ -55,18 +54,13 @@ class SyntheticCloudSpec:
 
     def __post_init__(self):
         for name in ("size_x", "size_y", "pitch", "noise_sigma", "hole_size"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.size_x <= 0 or self.size_y <= 0:
-            raise DomainError("shape sizes must be positive")
-        if self.pitch <= 0:
-            raise DomainError("grid pitch must be positive")
-        if self.noise_sigma < 0:
-            raise DomainError("noise sigma cannot be negative")
+            check_finite(name, getattr(self, name))
+        check_positive("shape sizes", self.size_x, self.size_y)
+        check_positive("grid pitch", self.pitch)
+        check_non_negative("noise sigma", self.noise_sigma)
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise DomainError("outlier fraction must lie in [0, 1)")
-        if self.hole_size <= 0:
-            raise DomainError("hole size must be positive")
+        check_positive("hole size", self.hole_size)
         grid = (self.size_x / self.pitch + 1) * (self.size_y / self.pitch + 1)
         if grid / (1.0 - self.outlier_fraction) > _MAX_POINTS:
             raise DomainError(f"a {self.size_x} x {self.size_y} m grid of pitch {self.pitch} m with outlier "
@@ -97,11 +91,9 @@ def surface_grid(spec: SyntheticCloudSpec) -> np.ndarray:
     elif spec.shape is CloudShape.RECTANGLE_WITH_HOLE:
         half = 0.5 * spec.hole_size
         keep = ~((np.abs(pts[:, 0]) <= half + _EDGE_EPS) & (np.abs(pts[:, 1]) <= half + _EDGE_EPS))
-    elif spec.shape is CloudShape.CIRCLE:
+    else:  # CloudShape.CIRCLE
         radius = 0.5 * spec.size_x
         keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= radius ** 2 + _EDGE_EPS
-    else:
-        raise DomainError(f"unhandled shape {spec.shape}")
     return pts[keep]
 
 
@@ -112,7 +104,7 @@ def generate_cloud(spec: SyntheticCloudSpec, seed: int = 0) -> PointCloud:
     outlier tail is easy to separate in tests.  A ``seed`` that is not an
     integer of at least 0 raises :class:`DomainError`.
     """
-    _check_seed(seed)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     surface = surface_grid(spec)
     if spec.noise_sigma > 0:

@@ -66,7 +66,7 @@ def test_magnet_plant_validation():
 def test_magnet_step_validation():
     with pytest.raises(DomainError, match="dt must be positive"):
         simulate_magnet(1.0, 1.0, UNTOUCHED_GAP_MM, dt=0.0)
-    with pytest.raises(DomainError, match="gap setpoint cannot be negative"):
+    with pytest.raises(DomainError, match="gap setpoint must be non-negative"):
         simulate_magnet(1.0, 1.0, -0.5)
 
 
@@ -81,7 +81,7 @@ def test_magnet_step_holds_equilibrium():
 
 def test_magnet_negative_setpoint_rejected_without_steps():
     # duration < dt / 2 rounds to a run of zero steps
-    with pytest.raises(DomainError, match="gap setpoint cannot be negative"):
+    with pytest.raises(DomainError, match="gap setpoint must be non-negative"):
         simulate_magnet(1.0, 1.0, -0.5, duration=0.001)
 
 

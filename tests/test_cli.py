@@ -295,7 +295,7 @@ def test_simulate_bad_config_value_exits_2(tmp_path, capsys, simulator, ini):
 
 @pytest.mark.parametrize("simulator, ini, message", [
     ("magnet", "[magnet]\nout_limit = 1.5\n", "motor command must lie in [-1, 1]"),
-    ("magnet", "[magnet]\nsetpoint = -0.5\n", "gap setpoint cannot be negative"),
+    ("magnet", "[magnet]\nsetpoint = -0.5\n", "gap setpoint must be non-negative"),
     ("track", "[drive]\nnoise_sigma = -0.5\n", "noise_sigma must be non-negative"),
     ("track", "[drive]\nnoise_sigma = 1e308\n", "error: pose components must be finite"),
 ], ids=["magnet-out-limit-above-1", "magnet-setpoint-negative", "noise-sigma-negative", "noise-sigma-1e308"])

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from steelnav.actuate import JumpPlanConfig, MagnetArrayState, MagnetPlant, simulate_magnet
+from steelnav.actuate import JumpPlanConfig, MagnetArrayState, MagnetPlant, plan_jump_trajectory, simulate_magnet
 from steelnav.boundary import estimate_boundary
 from steelnav.cloud import FilterConfig, PlanarPatch, PointCloud, RigidTransform
 from steelnav.drive import Pose2D, simulate_track, trace_to_csv
 from steelnav.errors import DomainError
-from steelnav.footprint import FootGeometry
+from steelnav.footprint import FootGeometry, closest_points
 from steelnav.pid import PIDGains, PIDState, pid_step
 from steelnav.switching import HeightConfig, decide, decision_to_json
 from steelnav.synth import SyntheticCloudSpec, generate_cloud
@@ -79,3 +79,30 @@ OUT_OF_DOMAIN = {
 def test_nan_and_needless_infinities_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+PLAN = JumpPlanConfig(np.zeros(6), np.zeros(6), np.array([[-1.0, 1.0]] * 6))
+# Each count entry point, called with one count
+COUNTED = {
+    "ransac_iterations": lambda n: FilterConfig(ransac_iterations=n),
+    "min_inlier_count": lambda n: FilterConfig(min_inlier_count=n),
+    "candidate_count": lambda n: FootGeometry(candidate_count=n),
+    "neighbor_count": lambda n: FootGeometry(neighbor_count=n),
+    "closest_points": lambda n: closest_points(np.eye(3), np.zeros(3), n),
+    "plan_jump_trajectory": lambda n: plan_jump_trajectory(np.zeros(6), None, PLAN, steps=n),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, "3", None])
+@pytest.mark.parametrize("entry", sorted(COUNTED))
+def test_a_count_that_is_not_an_integer_is_a_domain_error(entry, count):
+    with pytest.raises(DomainError, match="must be an integer"):
+        COUNTED[entry](count)
+
+
+def test_numpy_integer_counts_decide_like_plain_ints():
+    def decision(count):
+        foot, cfg = FootGeometry(candidate_count=count(5)), FilterConfig(ransac_iterations=count(500))
+        return decision_to_json(decide(generate_cloud(SPEC), filter_cfg=cfg, foot=foot, seed=1))
+
+    assert decision(np.int64) == decision(int)

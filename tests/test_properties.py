@@ -2,10 +2,14 @@
 every cloud file ends in a cloud or a ParseError.
 
 The examples are derandomized and bounded, so the suite stays fast and runs
-the same examples every time.
+the same examples every time.  Each example also bounds the peak memory its
+call allocates, as ``tracemalloc`` counts it; no wall-clock bound is set,
+since the run-to-run speed of a shared machine varies too widely.
 """
 
 import math
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,6 +22,12 @@ from steelnav.switching import SwitchDecision, decide
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+# Peak bounds with at least 4x headroom over the largest peak of the 150
+# examples (about 48 KB for decide and 14 KB for load_cloud with Python 3.11
+# and numpy 2.4).
+DECIDE_PEAK_BYTES = 256 * 1024
+LOAD_PEAK_BYTES = 64 * 1024
 
 unit = st.floats(-1.0, 1.0)
 triple = st.tuples(unit, unit, unit)
@@ -47,11 +57,24 @@ def clouds(draw) -> PointCloud:
     return PointCloud(pts * scale + offset)
 
 
+@contextmanager
+def peak_below(limit: int):
+    """Fail unless the block's traced allocations peak below ``limit`` bytes."""
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, f"peak {peak} bytes, bound {limit}"
+
+
 @PROPERTY
 @given(cloud=clouds(), leaf_exp=st.floats(-9.0, -2.0), seed=st.integers(0, 2**32))
 def test_every_well_formed_cloud_ends_in_a_decision(cloud, leaf_exp, seed):
     cfg = FilterConfig(voxel_leaf=10.0**leaf_exp, min_inlier_count=3)
-    assert isinstance(decide(cloud, filter_cfg=cfg, seed=seed), SwitchDecision)
+    with peak_below(DECIDE_PEAK_BYTES):
+        assert isinstance(decide(cloud, filter_cfg=cfg, seed=seed), SwitchDecision)
 
 
 HEADER_LINES = [
@@ -93,8 +116,9 @@ def cloud_path(tmp_path_factory):
 @given(data=cloud_files())
 def test_every_cloud_file_ends_in_a_cloud_or_a_parse_error(cloud_path, data):
     cloud_path.write_bytes(data)
-    try:
-        cloud = load_cloud(cloud_path)
-    except ParseError:
-        return
+    with peak_below(LOAD_PEAK_BYTES):
+        try:
+            cloud = load_cloud(cloud_path)
+        except ParseError:
+            return
     assert isinstance(cloud, PointCloud) and np.isfinite(cloud.points).all()
