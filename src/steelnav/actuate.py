@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cloud import frozen_array
 from .errors import DomainError, TransitionError, TrajectoryError
-from .errors import check_count, check_finite, check_non_negative, check_positive
+from .errors import check_array, check_count, check_finite, check_non_negative, check_positive
 from .footprint import FootPose
 from .pid import PIDGains, PIDState, _pid, step_count
 
@@ -58,6 +57,7 @@ class MagnetArrayState:
 
     def __post_init__(self):
         check_non_negative("magnet gaps", self.gap_left, self.gap_right)
+        check_finite("magnet gaps", self.gap_left, self.gap_right)
         _check_command(self.command)
 
 
@@ -77,6 +77,8 @@ class MagnetPlant:
     def __post_init__(self):
         check_positive("plant time constant", self.time_constant)
         check_positive("plant speed gain", self.speed_gain)
+        check_finite("plant time constant", self.time_constant)
+        check_finite("plant speed gain", self.speed_gain)
         check_finite("plant disturbance", self.disturbance)
 
 
@@ -161,6 +163,7 @@ def simulate_magnet(
     state = MagnetArrayState(mode=mode, gap_left=initial_left, gap_right=initial_right)
     steps = step_count(duration, dt, "duration")
     check_non_negative("gap setpoint", setpoint)
+    check_finite("gap setpoint", setpoint)
 
     # The loop runs on plain floats; the plant keeps the gaps at or above
     # contact, so only the command needs checking on the way.
@@ -344,9 +347,8 @@ class JumpPlanConfig:
     joint_limits: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("convenient_joints", 6), ("target_joints", 6), ("joint_limits", (6, 2))):
-            object.__setattr__(self, name, frozen_array(getattr(self, name), shape))
-        check_finite("joint angles", *self.convenient_joints, *self.target_joints)
+        for name, shape in (("convenient_joints", (6,)), ("target_joints", (6,)), ("joint_limits", (6, 2))):
+            object.__setattr__(self, name, check_array(name, getattr(self, name), shape))
         if not (self.joint_limits[:, 0] < self.joint_limits[:, 1]).all():
             raise DomainError("joint limits must satisfy low < high per joint")
 
@@ -370,8 +372,7 @@ def plan_jump_trajectory(
     :class:`TrajectoryError`.
     """
     check_count("steps", steps, 2)
-    start = np.asarray(from_joints, dtype=np.float64).reshape(6)
-    check_finite("joint angles", *start)
+    start = check_array("from_joints", from_joints, (6,))
 
     leg1 = np.linspace(start, plan.convenient_joints, steps)
     leg2 = np.linspace(plan.convenient_joints, plan.target_joints, steps)
@@ -394,7 +395,5 @@ _JOINTS_ROW = ",".join(["%.9g"] * 6)
 
 def trajectory_to_csv(path: np.ndarray) -> str:
     """Render a joint trajectory as bare CSV rows of 6 angles."""
-    arr = np.asarray(path, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 6:
-        raise DomainError("trajectory must be an (N, 6) array")
-    return "\n".join(_JOINTS_ROW % tuple(row) for row in arr.tolist()) + "\n"
+    rows = check_array("trajectory", path, (None, 6)).tolist()
+    return "\n".join(_JOINTS_ROW % tuple(row) for row in rows) + "\n"

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PlanarPatch, PointCloud, _point_rows, frozen_array
-from .errors import DomainError, check_positive
+from .cloud import PlanarPatch, PointCloud
+from .errors import DomainError, check_points, check_positive
 
 DEFAULT_SLICE_WIDTH = 0.02  # meters
 
@@ -29,7 +29,7 @@ class BoundaryEstimate:
     points: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", frozen_array(_point_rows(self.points, "boundary points")))
+        object.__setattr__(self, "points", check_points("boundary points", self.points))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -161,8 +161,8 @@ def _first_max(values: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.n
 
 def directed_hausdorff(from_points: np.ndarray, to_points: np.ndarray) -> float:
     """max over ``from_points`` of the distance to the nearest ``to_point``."""
-    a = np.asarray(from_points, dtype=np.float64)
-    b = np.asarray(to_points, dtype=np.float64)
+    a = check_points("from_points", from_points)
+    b = check_points("to_points", to_points)
     if len(a) == 0 or len(b) == 0:
         raise DomainError("directed Hausdorff distance needs non-empty point sets")
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)

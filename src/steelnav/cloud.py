@@ -18,6 +18,7 @@ from typing import BinaryIO, Optional, Union
 import numpy as np
 
 from .errors import DomainError, ParseError, check_count, check_finite, check_positive
+from .errors import check_array, check_points, check_rotation
 
 PathLike = Union[str, Path]
 
@@ -29,45 +30,6 @@ class Frame(str, Enum):
     ROBOT_BASE = "robot_base"
 
 
-def frozen_array(values, shape=None) -> np.ndarray:
-    """A read-only float64 copy of ``values``, reshaped to ``shape`` if given."""
-    out = np.asarray(values, dtype=np.float64)
-    out = np.array(out if shape is None else out.reshape(shape))
-    out.flags.writeable = False
-    return out
-
-
-def check_rotation(rot: np.ndarray, subject: str) -> None:
-    """Raise DomainError unless the 3x3 ``rot`` is orthonormal with
-    determinant +1; ``subject`` names it in the message."""
-    if not np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9:
-        raise DomainError(f"{subject} must be orthonormal")
-    if not abs(np.linalg.det(rot) - 1.0) <= 1e-9:
-        raise DomainError(f"{subject} must be right-handed (determinant +1)")
-
-
-def _vec3(v, what: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64).reshape(-1)
-    if arr.shape != (3,):
-        raise DomainError(f"{what} must have exactly 3 components, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{what} has non-finite components")
-    return arr
-
-
-def _point_rows(points, what: str = "points") -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.size == 0:
-        return arr.reshape(0, 3)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise DomainError(f"{what} must be an (N, 3) array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{what} contain non-finite coordinates")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """An ordered set of 3D points tagged with its coordinate frame."""
@@ -76,7 +38,7 @@ class PointCloud:
     frame_id: Frame = Frame.CAMERA
 
     def __post_init__(self):
-        object.__setattr__(self, "points", frozen_array(_point_rows(self.points)))
+        object.__setattr__(self, "points", check_points("points", self.points))
         object.__setattr__(self, "frame_id", Frame(self.frame_id))
 
     def __len__(self) -> int:
@@ -107,20 +69,13 @@ class PlanarPatch:
     plane_coeffs: np.ndarray
 
     def __post_init__(self):
-        normal = _vec3(self.normal, "normal")
-        if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
+        object.__setattr__(self, "normal", check_array("normal", self.normal, (3,)))
+        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
             raise DomainError("patch normal must be a unit vector")
-        centroid = _vec3(self.centroid, "centroid")
-        coeffs = np.asarray(self.plane_coeffs, dtype=np.float64).reshape(-1)
-        if coeffs.shape != (4,):
-            raise DomainError("plane_coeffs must have 4 components")
-        if not self.inliers.is_empty:
-            mean = self.inliers.points.mean(axis=0)
-            if np.abs(mean - centroid).max() > 1e-9:
-                raise DomainError("centroid must equal the mean of the inliers")
-        object.__setattr__(self, "normal", frozen_array(normal))
-        object.__setattr__(self, "centroid", frozen_array(centroid))
-        object.__setattr__(self, "plane_coeffs", frozen_array(coeffs))
+        object.__setattr__(self, "centroid", check_array("centroid", self.centroid, (3,)))
+        if not self.inliers.is_empty and np.abs(self.inliers.points.mean(axis=0) - self.centroid).max() > 1e-9:
+            raise DomainError("centroid must equal the mean of the inliers")
+        object.__setattr__(self, "plane_coeffs", check_array("plane_coeffs", self.plane_coeffs, (4,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +86,8 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        if rot.shape != (3, 3):
-            raise DomainError("rotation must be a 3x3 matrix")
-        check_rotation(rot, "rotation matrix")
-        object.__setattr__(self, "rotation", frozen_array(rot))
-        object.__setattr__(self, "translation", frozen_array(_vec3(self.translation, "translation")))
+        object.__setattr__(self, "rotation", check_rotation("rotation matrix", self.rotation))
+        object.__setattr__(self, "translation", check_array("translation", self.translation, (3,)))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -152,7 +103,7 @@ class RigidTransform:
         rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
         ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
         rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
-        return cls(rotation=rz @ ry @ rx, translation=np.asarray(translation, dtype=np.float64))
+        return cls(rotation=rz @ ry @ rx, translation=translation)
 
     def apply(self, points) -> np.ndarray:
         """Transform a single (3,) point or an (N, 3) array of points."""

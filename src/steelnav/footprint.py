@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import _point_rows, _vec3, check_rotation, frozen_array
-from .errors import DegenerateAnchorError, DomainError, check_count, check_positive
+from .errors import DegenerateAnchorError, DomainError, check_count, check_finite, check_positive
+from .errors import check_array, check_points, check_rotation
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class FootGeometry:
 
     def __post_init__(self):
         check_positive("foot width and length", self.width, self.length)
+        check_finite("foot width and length", self.width, self.length)
         check_positive("tolerance", self.tolerance)
         check_count("candidate_count", self.candidate_count)
         check_count("neighbor_count", self.neighbor_count)
@@ -62,9 +63,9 @@ class CandidateRectangle:
     midpoints: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("frame", (3, 3)), ("corners", (4, 3)), ("midpoints", (4, 3))):
-            object.__setattr__(self, name, frozen_array(getattr(self, name), shape))
-        check_rotation(self.frame, "candidate frame")
+        object.__setattr__(self, "frame", check_rotation("candidate frame", self.frame))
+        object.__setattr__(self, "corners", check_array("corners", self.corners, (4, 3)))
+        object.__setattr__(self, "midpoints", check_array("midpoints", self.midpoints, (4, 3)))
 
     @property
     def probes(self) -> np.ndarray:
@@ -83,9 +84,8 @@ class FootPose:
     orientation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", frozen_array(self.position, 3))
-        object.__setattr__(self, "orientation", frozen_array(self.orientation, (3, 3)))
-        check_rotation(self.orientation, "orientation")
+        object.__setattr__(self, "position", check_array("position", self.position, (3,)))
+        object.__setattr__(self, "orientation", check_rotation("orientation", self.orientation))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +115,11 @@ def closest_points(points: np.ndarray, query, count: int) -> np.ndarray:
     selection never depends on input ordering.  Points and query must be
     finite.
     """
-    pts = _point_rows(points)
+    pts = check_points("points", points)
     check_count("count", count)
     if len(pts) < count:
         raise DomainError(f"point set has {len(pts)} points, need {count}")
-    rim, d = _sorted_rim(pts, _vec3(query, "query"))
+    rim, d = _sorted_rim(pts, check_array("query", query, (3,)))
     return rim[_nearest(d, count)]
 
 
@@ -133,14 +133,15 @@ def build_candidate(anchor, center, normal, geometry: FootGeometry) -> Candidate
     the anchor is too close to the center to define a direction, and
     :class:`DomainError` for a non-finite input or a zero normal.
     """
-    frame, probes = _frame_and_probes(_vec3(anchor, "anchor"), _vec3(center, "center"), _normal(normal), geometry)
+    frame, probes = _frame_and_probes(
+        check_array("anchor", anchor, (3,)), check_array("center", center, (3,)), _normal(normal), geometry)
     return CandidateRectangle(frame=frame, corners=probes[:4], midpoints=probes[4:])
 
 
 def _normal(normal) -> np.ndarray:
     """``normal`` as a finite (3,) array whose norm, as
     :func:`_frame_and_probes` takes it, is not 0."""
-    n = _vec3(normal, "normal")
+    n = check_array("normal", normal, (3,))
     if not np.linalg.norm(n) > 0:
         raise DomainError("normal must be non-zero")
     return n
@@ -168,10 +169,11 @@ def _frame_and_probes(anchor: np.ndarray, center: np.ndarray, normal: np.ndarray
 
     side = 0.5 * geometry.width * e_y
     back = geometry.length * e_x
-    r1 = anchor + side
-    r2 = anchor - side
-    corners = np.array([r1, r2, r2 - back, r1 - back])
-    return frame, np.concatenate([corners, 0.5 * (corners + corners[[1, 2, 3, 0]])])
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge foot's probes overflow, and then do not fit
+        r1 = anchor + side
+        r2 = anchor - side
+        corners = np.array([r1, r2, r2 - back, r1 - back])
+        return frame, np.concatenate([corners, 0.5 * (corners + corners[[1, 2, 3, 0]])])
 
 
 def probe_passes(probes, center, boundary_points: np.ndarray, geometry: FootGeometry) -> np.ndarray:
@@ -185,9 +187,9 @@ def probe_passes(probes, center, boundary_points: np.ndarray, geometry: FootGeom
     pass: the boundary is sorted lexicographically once, so a stable sort of
     each probe's distances breaks exact ties in (x, y, z) order.
     """
-    p = _point_rows(probes, "probes")
-    c = _vec3(center, "center")
-    rim = _point_rows(boundary_points, "boundary_points")
+    p = check_points("probes", probes)
+    c = check_array("center", center, (3,))
+    rim = check_points("boundary_points", boundary_points)
     if len(rim) < geometry.neighbor_count:
         raise DomainError(f"boundary has {len(rim)} points, need {geometry.neighbor_count}")
     return _judge(p, c, *_sorted_rim(rim, c), geometry)
@@ -213,10 +215,10 @@ def _min_rim(geometry: FootGeometry) -> int:
 def _judge(probes: np.ndarray, center: np.ndarray, rim: np.ndarray, reach: np.ndarray, geometry: FootGeometry) -> np.ndarray:
     """:func:`probe_passes` on an (n, 3) ``probes`` array and a ``rim`` already
     in (x, y, z) order, whose rows lie ``reach`` from ``center``."""
-    d = np.linalg.norm(rim - probes[:, None, :], axis=2)
-    d_q = reach[_nearest(d, geometry.neighbor_count)].mean(axis=1)
-    d_r = np.linalg.norm(probes - center, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an overflowed probe fails
+        d = np.linalg.norm(rim - probes[:, None, :], axis=2)
+        d_q = reach[_nearest(d, geometry.neighbor_count)].mean(axis=1)
+        d_r = np.linalg.norm(probes - center, axis=1)
         return (d_r < d_q) | ((d_r > 0) & ((d_r - d_q) / d_r < geometry.tolerance))
 
 
@@ -240,21 +242,22 @@ def check_placeability(boundary_points, center, normal, geometry: FootGeometry =
     of :func:`closest_points`, :func:`build_candidate` and
     :func:`probe_passes`.
     """
-    pts = _point_rows(boundary_points, "boundary_points")
+    pts = check_points("boundary_points", boundary_points)
     if len(pts) < _min_rim(geometry):
         raise DomainError(f"boundary has {len(pts)} points, need at least {_min_rim(geometry)}")
 
-    c = _vec3(center, "center")
+    c = check_array("center", center, (3,))
     n = _normal(normal)
     rim, reach = _sorted_rim(pts, c)
     anchors = rim[_nearest(reach, geometry.candidate_count)]
-    for tried, anchor in enumerate(anchors, start=1):
-        try:
-            frame, probes = _frame_and_probes(anchor, c, n, geometry)
-        except DegenerateAnchorError:
-            continue
-        inward = 0.25 * geometry.length * frame[:, 0]
-        if _judge(probes - inward, c, rim, reach, geometry).all():
-            pose = FootPose(position=probes.mean(axis=0) - inward, orientation=frame)
-            return PlacementReport(placeable=True, pose=pose, candidates_tried=tried, accepted_anchor=anchor)
+    with np.errstate(over="ignore"):  # a huge foot's probes may overflow as they move inward
+        for tried, anchor in enumerate(anchors, start=1):
+            try:
+                frame, probes = _frame_and_probes(anchor, c, n, geometry)
+            except DegenerateAnchorError:
+                continue
+            inward = 0.25 * geometry.length * frame[:, 0]
+            if _judge(probes - inward, c, rim, reach, geometry).all():
+                pose = FootPose(position=probes.mean(axis=0) - inward, orientation=frame)
+                return PlacementReport(placeable=True, pose=pose, candidates_tried=tried, accepted_anchor=anchor)
     return PlacementReport(placeable=False, pose=None, candidates_tried=len(anchors), accepted_anchor=None)

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .boundary import DEFAULT_SLICE_WIDTH, estimate_boundary
 from .cloud import FilterConfig, PlanarPatch, PointCloud, RigidTransform, passthrough, ransac_plane, voxel_downsample
-from .errors import DomainError, check_finite, check_positive
+from .errors import DomainError, check_array, check_finite, check_positive
 from .footprint import FootGeometry, FootPose, _min_rim, check_placeability
 
 
@@ -101,7 +99,7 @@ def height_availability(centroid_camera, cfg: HeightConfig) -> tuple[bool, float
 
     Returns the verdict and the signed height difference in meters.
     """
-    in_base = cfg.camera_to_base.apply(np.asarray(centroid_camera, dtype=np.float64).reshape(3))
+    in_base = cfg.camera_to_base.apply(check_array("centroid", centroid_camera, (3,)))
     delta = float(in_base[2] - cfg.base_height)
     return abs(delta) <= cfg.tolerance, delta
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from steelnav.boundary import estimate_boundary
-from steelnav.cloud import FilterConfig, PlanarPatch, PointCloud, RigidTransform, check_rotation, ransac_plane
-from steelnav.errors import DegenerateAnchorError, DomainError
+from steelnav.cloud import FilterConfig, PlanarPatch, PointCloud, RigidTransform, ransac_plane
+from steelnav.errors import DegenerateAnchorError, DomainError, check_rotation
 from steelnav.footprint import (
     FootGeometry,
     FootPose,
@@ -429,7 +429,7 @@ def reference_placement(boundary_points, center, normal, geometry):
         r2 = a - half_w * e_y
         corners = np.array([r1, r2, r2 - geometry.length * e_x, r1 - geometry.length * e_x])
         probes = np.vstack([corners, 0.5 * (corners + np.roll(corners, -1, axis=0))])
-        check_rotation(frame, "candidate frame")
+        check_rotation("candidate frame", frame)
         inward = 0.25 * geometry.length * frame[:, 0]
         if all(probe_passes_one(p, c, pts, geometry) for p in probes - inward):
             return True, tried, a, probes.mean(axis=0) - inward, frame
